@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_chirp_args(sp):
         sp.add_argument("--sf", type=int, default=7)
-        sp.add_argument("--fosc", type=float, default=32768.0)
-        sp.add_argument("--fs", type=float, default=None)
+        sp.add_argument("--fosc", type=harness.finite_float, default=32768.0)
+        sp.add_argument("--fs", type=harness.finite_float, default=None)
 
     def add_cfg_args(sp):
         sp.add_argument("--config", default=None, help="key=value config file")
@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="power spectrum of a stored waveform")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--fs", type=float, default=None, help="sample rate for CSV waveforms")
+    sp.add_argument(
+        "--fs", type=harness.finite_float, default=None, help="sample rate for CSV waveforms"
+    )
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_spectrum, format="csv")
 
@@ -223,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="fit composite link gain to an anchor BER")
     add_cfg_args(sp)
-    sp.add_argument("--anchor-eirp", type=float, default=None)
-    sp.add_argument("--anchor-ber", type=float, default=None)
+    sp.add_argument("--anchor-eirp", type=harness.finite_float, default=None)
+    sp.add_argument("--anchor-ber", type=harness.finite_float, default=None)
     add_common(sp)
     sp.set_defaults(func=cmd_calibrate)
 

@@ -98,12 +98,20 @@ def _coerce(raw: str, type_name: str):
     if type_name == "int":
         return int(raw)
     if type_name == "float":
-        return float(raw)
+        return finite_float(raw)
     if type_name == "str":
         return raw
     if type_name == "list[float]":
-        return [float(v) for v in raw.split(",") if v.strip()]
+        return [finite_float(v) for v in raw.split(",") if v.strip()]
     raise ConfigurationError(f"unsupported config field type {type_name}")
+
+
+def finite_float(raw: str) -> float:
+    """float() that also rejects nan and inf; shared by config files and CLI flags."""
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {raw.strip()!r}")
+    return v
 
 
 def parse_config(text: str) -> ExperimentConfig:

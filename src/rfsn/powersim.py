@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -55,29 +56,46 @@ class Capacitor:
         return 0.5 * self.capacitance_f * v_volts**2
 
 
-def _step_ledger(
-    c: Capacitor, p_in_w: float, p_out_w: float, dt_s: float
-) -> tuple[Capacitor, float, float]:
-    """One Euler step; returns (capacitor, harvested_j, consumed_j).
+def _euler_step(
+    e: float, p_in_w: float, p_out_w: float, dt_s: float
+) -> tuple[float, float, float]:
+    """One Euler step on stored energy; returns (energy_j, harvested_j, consumed_j).
 
     The consumed ledger entry is the energy actually removed, which is less
-    than p_out*dt when the capacitor bottoms out at zero.
+    than p_out*dt when the capacitor bottoms out at zero.  The caller checks
+    that dt is positive.
     """
-    if dt_s <= 0:
-        raise ConfigurationError("dt must be positive")
     harvested = p_in_w * dt_s
-    e_new = c.energy_j + harvested - p_out_w * dt_s
+    e_new = e + harvested - p_out_w * dt_s
     if e_new < 0.0:
-        consumed = c.energy_j + harvested
-        e_new = 0.0
-    else:
-        consumed = p_out_w * dt_s
-    return Capacitor(c.capacitance_f, e_new), harvested, consumed
+        return 0.0, harvested, e + harvested
+    return e_new, harvested, p_out_w * dt_s
 
 
 def step_capacitor(c: Capacitor, p_in_w: float, p_out_w: float, dt_s: float) -> Capacitor:
     """Euler step on stored energy: E' = max(0, E + (p_in - p_out)*dt)."""
-    return _step_ledger(c, p_in_w, p_out_w, dt_s)[0]
+    if dt_s <= 0:
+        raise ConfigurationError("dt must be positive")
+    return Capacitor(c.capacitance_f, _euler_step(c.energy_j, p_in_w, p_out_w, dt_s)[0])
+
+
+def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
+    """Scalar ``np.interp(x, xs, ys)`` in plain Python, bit for bit.
+
+    Follows numpy's own rules: one knot gives its value (NaN included), ends
+    clamp, an exact knot gives that knot's value, and between knots
+    slope*(x - x_j) + y_j with the slope computed first.
+    """
+    if len(xs) == 1 or x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    if x != x:
+        return x
+    j = bisect.bisect_right(xs, x) - 1
+    if xs[j] == x:
+        return ys[j]
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
 def _load_xy_csv(path) -> list[tuple[float, float]]:
@@ -100,11 +118,16 @@ class HarvesterModel:
     efficiency_points: tuple[tuple[float, float], ...]
     sensitivity_dbm: float = -math.inf
     scale: float = 1.0
+    # knot tables built once, so efficiency() allocates nothing
+    _dbm: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _eta: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.efficiency_points
         if len(pts) < 2:
             raise ConfigurationError("efficiency curve needs at least two points")
+        if not all(math.isfinite(p) and math.isfinite(eta) for p, eta in pts):
+            raise ConfigurationError("efficiency curve points must be finite")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ConfigurationError("efficiency curve abscissae must be strictly increasing")
         if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
@@ -113,6 +136,8 @@ class HarvesterModel:
             eta for _, eta in pts
         ):
             raise ConfigurationError("scaled efficiency must stay within [0, 1]")
+        object.__setattr__(self, "_dbm", tuple(float(p) for p, _ in pts))
+        object.__setattr__(self, "_eta", tuple(float(eta) for _, eta in pts))
 
     @classmethod
     def default_active(cls) -> "HarvesterModel":
@@ -142,11 +167,9 @@ class HarvesterModel:
         return HarvesterModel(self.efficiency_points, self.sensitivity_dbm, scale)
 
     def efficiency(self, pr_dbm: float) -> float:
-        x = np.array([p for p, _ in self.efficiency_points])
-        y = np.array([eta for _, eta in self.efficiency_points])
-        if pr_dbm < self.sensitivity_dbm or pr_dbm < x[0]:
+        if pr_dbm < self.sensitivity_dbm or pr_dbm < self._dbm[0]:
             return 0.0
-        return self.scale * float(np.interp(pr_dbm, x, y))
+        return self.scale * float(_interp(pr_dbm, self._dbm, self._eta))
 
     def harvested_power_w(self, pr_dbm: float) -> float:
         return self.efficiency(pr_dbm) * 10.0 ** ((pr_dbm - 30.0) / 10.0)
@@ -168,15 +191,24 @@ class LeakageCurve:
 
     points: tuple[tuple[float, float], ...]
     variant: str = "custom"
+    # knot voltages and log powers built once: power_w runs on every Euler step
+    _volts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _log_powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.points
         if len(pts) < 1:
             raise ConfigurationError("leakage curve needs at least one point")
+        if not all(math.isfinite(v) and math.isfinite(p) for v, p in pts):
+            raise ConfigurationError("leakage curve points must be finite")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ConfigurationError("leakage curve voltages must be strictly increasing")
         if any(p <= 0 for _, p in pts):
             raise ConfigurationError("leakage powers must be positive (log interpolation)")
+        object.__setattr__(self, "_volts", tuple(float(v) for v, _ in pts))
+        object.__setattr__(
+            self, "_log_powers", tuple(float(lp) for lp in np.log([p for _, p in pts]))
+        )
 
     @classmethod
     def default_without_startup(cls) -> "LeakageCurve":
@@ -195,9 +227,8 @@ class LeakageCurve:
         return cls(tuple(_load_xy_csv(path)), variant)
 
     def power_w(self, v_volts: float) -> float:
-        v = np.array([p[0] for p in self.points])
-        logp = np.log([p[1] for p in self.points])
-        return float(np.exp(np.interp(v_volts, v, logp)))  # np.interp clamps at the ends
+        # np.exp, not math.exp: the two differ in the last bit for some inputs
+        return float(np.exp(_interp(v_volts, self._volts, self._log_powers)))
 
     def max_power_below(self, v_volts: float) -> float:
         grid = np.linspace(0.0, v_volts, 257)
@@ -221,14 +252,18 @@ def time_to_voltage(
     if dt_s > 1e-3 or dt_s <= 0:
         raise ConfigurationError("dt must lie in (0, 1e-3] s")
     p_in = harvester.harvested_power_w(pr_dbm)
+    cap = c.capacitance_f
+    e = c.energy_j
+    v = c.v_volts
     t = 0.0
     stalled = 0
-    while c.v_volts < v_target:
-        c_next = step_capacitor(c, p_in, leakage.power_w(c.v_volts), dt_s)
-        stalled = stalled + 1 if c_next.energy_j <= c.energy_j else 0
+    while v < v_target:
+        e_next = _euler_step(e, p_in, leakage.power_w(v), dt_s)[0]
+        stalled = stalled + 1 if e_next <= e else 0
         if stalled >= stall_steps:
             return math.inf
-        c = c_next
+        e = e_next
+        v = math.sqrt(2.0 * e / cap)  # as Capacitor.v_volts
         t += dt_s
     return t
 
@@ -328,59 +363,72 @@ def run_active_fsm(
     bursts (packets sent back-to-back while the budget allows dropping no
     lower than v_sleep) with recharge sleeps up to v_wake.
     """
+    if dt_s <= 0:
+        raise ConfigurationError("dt must be positive")
     p_in = h.harvested_power_w(pr_dbm)
-    trace = SimTrace(initial_energy_j=c.energy_j)
+    cap = c.capacitance_f
+    e = c.energy_j
+    v = c.v_volts
+    trace = SimTrace(initial_energy_j=e)
+    harvested = consumed = 0.0
     state = COLD
     t = 0.0
-    trace.log(t, "start", c.v_volts)
+    trace.log(t, "start", v)
     e_sleep = c.energy_at(fsm.v_sleep)
 
+    # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s and state != DEAD:
         if state in (COLD, SLEEPING):
-            c, got, used = _step_ledger(c, p_in, leak.power_w(c.v_volts), dt_s)
-            trace.harvested_j += got
-            trace.consumed_j += used
+            e, got, used = _euler_step(e, p_in, leak.power_w(v), dt_s)
+            v = math.sqrt(2.0 * e / cap)
+            harvested += got
+            consumed += used
             t += dt_s
             threshold = fsm.v_start if state == COLD else fsm.v_wake
-            if c.v_volts >= threshold:
+            if v >= threshold:
                 if state == COLD:
                     # boot is an impulse: the whole bring-up cost at once
-                    c, got, used = _step_ledger(c, 0.0, fsm.e_boot_j / dt_s, dt_s)
-                    trace.harvested_j += got
-                    trace.consumed_j += used
-                    trace.log(t, "boot", c.v_volts)
-                    if c.v_volts < fsm.v_min:
+                    e, got, used = _euler_step(e, 0.0, fsm.e_boot_j / dt_s, dt_s)
+                    v = math.sqrt(2.0 * e / cap)
+                    harvested += got
+                    consumed += used
+                    trace.log(t, "boot", v)
+                    if v < fsm.v_min:
                         state = DEAD
                         t += dt_s
-                        trace.log(t, "dead", c.v_volts)
+                        trace.log(t, "dead", v)
                         continue
                 else:
-                    trace.log(t, "wake", c.v_volts)
+                    trace.log(t, "wake", v)
                 state = TRANSMITTING
         elif state == TRANSMITTING:
             pin_tx = p_in if harvest_while_transmitting else 0.0
             pt = fsm.packet_time_s
             gain = pin_tx * pt
-            drain = leak.power_w(c.v_volts) * pt + fsm.e_packet_j
-            if c.energy_j + gain - drain >= e_sleep and t + pt <= duration_s:
-                c, got, used = _step_ledger(c, pin_tx, drain / pt, pt)
-                trace.harvested_j += got
-                trace.consumed_j += used
+            drain = leak.power_w(v) * pt + fsm.e_packet_j
+            if e + gain - drain >= e_sleep and t + pt <= duration_s:
+                e, got, used = _euler_step(e, pin_tx, drain / pt, pt)
+                v = math.sqrt(2.0 * e / cap)
+                harvested += got
+                consumed += used
                 t += pt
                 trace.packets_sent += 1
                 trace.bytes_sent += fsm.msdu_bytes
-                trace.log(t, "packet", c.v_volts)
+                trace.log(t, "packet", v)
             else:
                 # take the first recharge step before logging so every event
                 # timestamp is strictly later than the last packet's
                 state = SLEEPING
-                c, got, used = _step_ledger(c, p_in, leak.power_w(c.v_volts), dt_s)
-                trace.harvested_j += got
-                trace.consumed_j += used
+                e, got, used = _euler_step(e, p_in, leak.power_w(v), dt_s)
+                v = math.sqrt(2.0 * e / cap)
+                harvested += got
+                consumed += used
                 t += dt_s
-                trace.log(t, "sleep", c.v_volts)
+                trace.log(t, "sleep", v)
 
-    trace.final_energy_j = c.energy_j
+    trace.harvested_j = harvested
+    trace.consumed_j = consumed
+    trace.final_energy_j = e
     return trace
 
 

@@ -133,6 +133,10 @@ class Waveform:
             raise ConfigurationError(f"unsupported waveform format version {version}")
         if kind_code not in _KIND_NAMES:
             raise ConfigurationError(f"unknown waveform kind code {kind_code}")
+        if (len(blob) - 16) % 4:
+            raise ConfigurationError(
+                f"binary waveform body of {len(blob) - 16} bytes is not whole f32 samples"
+            )
         samples = np.frombuffer(blob[16:], dtype="<f4").astype(np.float64)
         return cls(samples, fs_hz, _KIND_NAMES[kind_code])
 

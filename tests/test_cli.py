@@ -102,3 +102,32 @@ def test_missing_input_file_exits_3(capsys):
     code, _ = run_cli(capsys, "demodulate", "--sf", "7", "--fosc", "32768",
                       "--in", "/nonexistent/w.bin")
     assert code == 3
+
+
+def test_truncated_waveform_exits_2(tmp_path, capsys):
+    wav = tmp_path / "w.sqch"
+    run_cli(capsys, "modulate", "--sf", "7", "--fosc", "32768",
+            "--symbols", "3,17", "--out", str(wav))
+    wav.write_bytes(wav.read_bytes()[:-1])
+    code = main(["demodulate", "--sf", "7", "--fosc", "32768", "--in", str(wav)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--fosc", "nan"],
+        ["params", "--fs", "inf"],
+        ["spectrum", "--in", "w.bin", "--fs=-inf"],
+        ["calibrate", "--anchor-eirp", "nan"],
+        ["calibrate", "--anchor-ber", "inf"],
+    ],
+)
+def test_non_finite_float_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid finite_float value" in capsys.readouterr().err

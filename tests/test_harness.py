@@ -37,6 +37,20 @@ def test_parse_config_unknown_key_rejected():
         harness.parse_config("scenario=x\nnot_a_key=1\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("scenario = x\nn0_w_per_hz = nan\n", 2),
+        ("scenario = x\nsf = 7\nsweep_values = nan, 1\n", 3),
+        ("eirp_dbm = inf\n", 1),
+        ("sweep_values = 1, -inf\n", 1),
+    ],
+)
+def test_parse_config_rejects_non_finite(text, lineno):
+    with pytest.raises(ConfigurationError, match=f"line {lineno}: .*non-finite"):
+        harness.parse_config(text)
+
+
 def test_validate_collects_all_problems():
     cfg = harness.ExperimentConfig(
         scenario="bad", sf=99, template="nope", sweep_axis="sideways"

@@ -1,12 +1,16 @@
 """Harvest/charge/leakage models and the duty-cycle state machine."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfsn import powersim
+from rfsn import harness, powersim
 from rfsn.errors import ConfigurationError
+
+CHARGE_SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "charge_sweep.cfg"
 
 
 # ----------------------------------------------------------------- capacitor
@@ -80,6 +84,17 @@ def test_leakage_clamps_beyond_ends_and_max_below():
     leak = powersim.LeakageCurve.default_with_startup()
     assert leak.power_w(5.0) == pytest.approx(leak.power_w(1.8))
     assert leak.max_power_below(1.8) == pytest.approx(6.1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curves_reject_non_finite_points(bad):
+    # the interpolation reproduces np.interp only on finite knots
+    with pytest.raises(ConfigurationError):
+        powersim.LeakageCurve(((0.0, 1e-7), (bad, 1e-6)))
+    with pytest.raises(ConfigurationError):
+        powersim.LeakageCurve(((0.0, 1e-7), (0.6, abs(bad))))
+    with pytest.raises(ConfigurationError):
+        powersim.HarvesterModel(((-10.0, 0.2), (bad, 0.5)))
 
 
 def test_leakage_constant():
@@ -194,6 +209,21 @@ def test_fsm_packets_per_window_closed_form():
     assert per_window == pytest.approx(want, abs=0.5)
 
 
+def test_fsm_rejects_nonpositive_dt():
+    # a float loop at dt 0 would never advance time
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ConfigurationError):
+            powersim.run_active_fsm(
+                powersim.ActiveNodeFSM(),
+                powersim.Capacitor(1e-3),
+                0.0,
+                powersim.HarvesterModel.default_active(),
+                powersim.LeakageCurve.default_with_startup(),
+                duration_s=1.0,
+                dt_s=dt,
+            )
+
+
 def test_fsm_dies_without_power():
     tr = _run_default(pr_dbm=-30.0, duration_s=5.0)
     assert tr.packets_sent == 0
@@ -238,3 +268,193 @@ def test_passive_steady_state_budget():
     # far below sensitivity nothing harvests
     st2 = powersim.passive_steady_state(pm, 32768, 1.8, -40.0, h)
     assert st2.duty_cycle == 0.0 and not st2.sustainable
+
+
+# ------------------------------------------- bit-exact reference loops
+# The energy loops step plain floats over knot tables built once.  These are
+# the object-stepping loops they replaced: every step builds a validated
+# Capacitor and every curve lookup builds its arrays and calls np.interp.
+# The fast path must reproduce them exactly (==, not approx).
+
+def _ref_power_w(leak, v):
+    xs = np.array([p[0] for p in leak.points])
+    logp = np.log([p[1] for p in leak.points])
+    return float(np.exp(np.interp(v, xs, logp)))
+
+
+def _ref_efficiency(h, pr_dbm):
+    x = np.array([p for p, _ in h.efficiency_points])
+    y = np.array([eta for _, eta in h.efficiency_points])
+    if pr_dbm < h.sensitivity_dbm or pr_dbm < x[0]:
+        return 0.0
+    return h.scale * float(np.interp(pr_dbm, x, y))
+
+
+def _ref_harvested_power_w(h, pr_dbm):
+    return _ref_efficiency(h, pr_dbm) * 10.0 ** ((pr_dbm - 30.0) / 10.0)
+
+
+def _ref_step(c, p_in_w, p_out_w, dt_s):
+    harvested = p_in_w * dt_s
+    e_new = c.energy_j + harvested - p_out_w * dt_s
+    if e_new < 0.0:
+        consumed = c.energy_j + harvested
+        e_new = 0.0
+    else:
+        consumed = p_out_w * dt_s
+    return powersim.Capacitor(c.capacitance_f, e_new), harvested, consumed
+
+
+def _ref_time_to_voltage(c, v_target, pr_dbm, h, leak, dt_s, stall_steps=1000):
+    p_in = _ref_harvested_power_w(h, pr_dbm)
+    t = 0.0
+    stalled = 0
+    while c.v_volts < v_target:
+        c_next = _ref_step(c, p_in, _ref_power_w(leak, c.v_volts), dt_s)[0]
+        stalled = stalled + 1 if c_next.energy_j <= c.energy_j else 0
+        if stalled >= stall_steps:
+            return math.inf
+        c = c_next
+        t += dt_s
+    return t
+
+
+def _ref_run_active_fsm(fsm, c, pr_dbm, h, leak, duration_s, dt_s, harvest_while_transmitting):
+    p_in = _ref_harvested_power_w(h, pr_dbm)
+    trace = powersim.SimTrace(initial_energy_j=c.energy_j)
+    state = "cold"
+    t = 0.0
+    trace.log(t, "start", c.v_volts)
+    e_sleep = c.energy_at(fsm.v_sleep)
+
+    def step(c, p_in_w, p_out_w, dt):
+        c, got, used = _ref_step(c, p_in_w, p_out_w, dt)
+        trace.harvested_j += got
+        trace.consumed_j += used
+        return c
+
+    while t < duration_s and state != "dead":
+        if state in ("cold", "sleeping"):
+            c = step(c, p_in, _ref_power_w(leak, c.v_volts), dt_s)
+            t += dt_s
+            if c.v_volts >= (fsm.v_start if state == "cold" else fsm.v_wake):
+                if state == "cold":
+                    c = step(c, 0.0, fsm.e_boot_j / dt_s, dt_s)
+                    trace.log(t, "boot", c.v_volts)
+                    if c.v_volts < fsm.v_min:
+                        state = "dead"
+                        t += dt_s
+                        trace.log(t, "dead", c.v_volts)
+                        continue
+                else:
+                    trace.log(t, "wake", c.v_volts)
+                state = "transmitting"
+        else:
+            pin_tx = p_in if harvest_while_transmitting else 0.0
+            pt = fsm.packet_time_s
+            drain = _ref_power_w(leak, c.v_volts) * pt + fsm.e_packet_j
+            if c.energy_j + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
+                c = step(c, pin_tx, drain / pt, pt)
+                t += pt
+                trace.packets_sent += 1
+                trace.bytes_sent += fsm.msdu_bytes
+                trace.log(t, "packet", c.v_volts)
+            else:
+                state = "sleeping"
+                c = step(c, p_in, _ref_power_w(leak, c.v_volts), dt_s)
+                t += dt_s
+                trace.log(t, "sleep", c.v_volts)
+
+    trace.final_energy_j = c.energy_j
+    return trace
+
+
+def _bits(values):
+    """IEEE-754 bit patterns, so NaN and signed zero compare exactly too."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+_CURVES = [
+    powersim.LeakageCurve.default_without_startup(),
+    powersim.LeakageCurve.default_with_startup(),
+    powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep"),
+    powersim.LeakageCurve(((0.7, 2.5e-6),), "one_point"),
+]
+
+
+@pytest.mark.parametrize("leak", _CURVES, ids=lambda c: c.variant)
+def test_leakage_power_bit_exact_against_np_interp(leak):
+    rng = np.random.default_rng(7)
+    knots = [v for v, _ in leak.points]
+    vs = [float(v) for v in rng.uniform(-0.5, 3.5, 10_000)]
+    vs += knots + [-1.0, -0.0, knots[-1] + 1.0, math.inf, -math.inf, math.nan]
+    assert _bits([leak.power_w(v) for v in vs]) == _bits([_ref_power_w(leak, v) for v in vs])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        powersim.HarvesterModel.default_active(),
+        powersim.HarvesterModel.default_passive().with_scale(0.2828),
+    ],
+    ids=["active", "passive"],
+)
+def test_harvester_efficiency_bit_exact_against_np_interp(h):
+    rng = np.random.default_rng(8)
+    knots = [p for p, _ in h.efficiency_points]
+    prs = [float(p) for p in rng.uniform(-15.0, 15.0, 10_000)]
+    prs += knots + [knots[-1] + 5.0, math.nan]
+    assert _bits([h.efficiency(p) for p in prs]) == _bits([_ref_efficiency(h, p) for p in prs])
+
+
+@pytest.mark.parametrize("variant", ["passive", "active"])
+@pytest.mark.parametrize("dt_s", [1e-3, 5e-4])
+def test_time_to_voltage_bit_exact_on_charge_sweep_grid(variant, dt_s):
+    cfg = dataclasses.replace(harness.load_config(CHARGE_SWEEP_CFG), charge_variant=variant)
+    h, leak = harness.charge_models(cfg)
+    got, want = [], []
+    for pr in cfg.sweep_values:
+        c = powersim.Capacitor(cfg.capacitance_f)
+        got.append(powersim.time_to_voltage(c, cfg.target_v, pr, h, leak, dt_s))
+        want.append(_ref_time_to_voltage(c, cfg.target_v, pr, h, leak, dt_s))
+    assert got == want
+    assert math.inf in got  # the grid's low end stalls
+    assert any(math.isfinite(t) for t in got)
+
+
+@pytest.mark.parametrize(
+    "cap_f, pr_dbm, harvest_tx",
+    [
+        (1e-3, 0.0, True),
+        (1e-3, 0.0, False),
+        (1e-3, 10.0, True),
+        (1e-3, 10.0, False),
+        (22e-6, 10.0, True),  # E(3.2 V) < E_boot: the boot clamps to zero and the node dies
+    ],
+)
+def test_run_active_fsm_bit_exact_against_object_stepping(cap_f, pr_dbm, harvest_tx):
+    args = (
+        powersim.ActiveNodeFSM(),
+        powersim.Capacitor(cap_f),
+        pr_dbm,
+        powersim.HarvesterModel.default_active(),
+        powersim.LeakageCurve.default_with_startup(),
+        30.0,
+        1e-3,
+        harvest_tx,
+    )
+    got = powersim.run_active_fsm(*args)
+    want = _ref_run_active_fsm(*args)
+    assert got.events == want.events
+    assert (got.packets_sent, got.bytes_sent) == (want.packets_sent, want.bytes_sent)
+    assert (got.harvested_j, got.consumed_j, got.initial_energy_j, got.final_energy_j) == (
+        want.harvested_j,
+        want.consumed_j,
+        want.initial_energy_j,
+        want.final_energy_j,
+    )
+    if cap_f == 22e-6:
+        assert [kind for _, kind, _ in got.events] == ["start", "boot", "dead"]
+        assert got.final_energy_j == 0.0
+    else:
+        assert got.packets_sent > 0

@@ -63,6 +63,13 @@ def test_magic_header_checked():
         Waveform.from_bytes(bytes(blob))
 
 
+def test_truncated_body_rejected():
+    blob = _binary_wave().to_bytes()
+    for cut in (1, 2, 3):
+        with pytest.raises(ConfigurationError, match="f32"):
+            Waveform.from_bytes(blob[:-cut])
+
+
 def test_complex_samples_cannot_serialize():
     w = Waveform(np.array([1 + 1j, 0 + 0j]), 8.0, KIND_ANALOG)
     with pytest.raises(ConfigurationError):
