@@ -118,16 +118,11 @@ class HarvesterModel:
     efficiency_points: tuple[tuple[float, float], ...]
     sensitivity_dbm: float = -math.inf
     scale: float = 1.0
-    # knot tables built once, so efficiency() allocates nothing
-    _dbm: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _eta: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.efficiency_points
         if len(pts) < 2:
             raise ConfigurationError("efficiency curve needs at least two points")
-        if not all(math.isfinite(p) and math.isfinite(eta) for p, eta in pts):
-            raise ConfigurationError("efficiency curve points must be finite")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ConfigurationError("efficiency curve abscissae must be strictly increasing")
         if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
@@ -136,8 +131,6 @@ class HarvesterModel:
             eta for _, eta in pts
         ):
             raise ConfigurationError("scaled efficiency must stay within [0, 1]")
-        object.__setattr__(self, "_dbm", tuple(float(p) for p, _ in pts))
-        object.__setattr__(self, "_eta", tuple(float(eta) for _, eta in pts))
 
     @classmethod
     def default_active(cls) -> "HarvesterModel":
@@ -167,9 +160,11 @@ class HarvesterModel:
         return HarvesterModel(self.efficiency_points, self.sensitivity_dbm, scale)
 
     def efficiency(self, pr_dbm: float) -> float:
-        if pr_dbm < self.sensitivity_dbm or pr_dbm < self._dbm[0]:
+        x = np.array([p for p, _ in self.efficiency_points])
+        y = np.array([eta for _, eta in self.efficiency_points])
+        if pr_dbm < self.sensitivity_dbm or pr_dbm < x[0]:
             return 0.0
-        return self.scale * float(_interp(pr_dbm, self._dbm, self._eta))
+        return self.scale * float(np.interp(pr_dbm, x, y))
 
     def harvested_power_w(self, pr_dbm: float) -> float:
         return self.efficiency(pr_dbm) * 10.0 ** ((pr_dbm - 30.0) / 10.0)

@@ -87,14 +87,12 @@ def test_leakage_clamps_beyond_ends_and_max_below():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_curves_reject_non_finite_points(bad):
+def test_leakage_rejects_non_finite_points(bad):
     # the interpolation reproduces np.interp only on finite knots
     with pytest.raises(ConfigurationError):
         powersim.LeakageCurve(((0.0, 1e-7), (bad, 1e-6)))
     with pytest.raises(ConfigurationError):
         powersim.LeakageCurve(((0.0, 1e-7), (0.6, abs(bad))))
-    with pytest.raises(ConfigurationError):
-        powersim.HarvesterModel(((-10.0, 0.2), (bad, 0.5)))
 
 
 def test_leakage_constant():
@@ -271,27 +269,15 @@ def test_passive_steady_state_budget():
 
 
 # ------------------------------------------- bit-exact reference loops
-# The energy loops step plain floats over knot tables built once.  These are
-# the object-stepping loops they replaced: every step builds a validated
-# Capacitor and every curve lookup builds its arrays and calls np.interp.
+# The energy loops step plain floats over a leakage table built once.  These
+# are the object-stepping loops they replaced: every step builds a validated
+# Capacitor and every leakage lookup builds its arrays and calls np.interp.
 # The fast path must reproduce them exactly (==, not approx).
 
 def _ref_power_w(leak, v):
     xs = np.array([p[0] for p in leak.points])
     logp = np.log([p[1] for p in leak.points])
     return float(np.exp(np.interp(v, xs, logp)))
-
-
-def _ref_efficiency(h, pr_dbm):
-    x = np.array([p for p, _ in h.efficiency_points])
-    y = np.array([eta for _, eta in h.efficiency_points])
-    if pr_dbm < h.sensitivity_dbm or pr_dbm < x[0]:
-        return 0.0
-    return h.scale * float(np.interp(pr_dbm, x, y))
-
-
-def _ref_harvested_power_w(h, pr_dbm):
-    return _ref_efficiency(h, pr_dbm) * 10.0 ** ((pr_dbm - 30.0) / 10.0)
 
 
 def _ref_step(c, p_in_w, p_out_w, dt_s):
@@ -306,7 +292,7 @@ def _ref_step(c, p_in_w, p_out_w, dt_s):
 
 
 def _ref_time_to_voltage(c, v_target, pr_dbm, h, leak, dt_s, stall_steps=1000):
-    p_in = _ref_harvested_power_w(h, pr_dbm)
+    p_in = h.harvested_power_w(pr_dbm)
     t = 0.0
     stalled = 0
     while c.v_volts < v_target:
@@ -320,7 +306,7 @@ def _ref_time_to_voltage(c, v_target, pr_dbm, h, leak, dt_s, stall_steps=1000):
 
 
 def _ref_run_active_fsm(fsm, c, pr_dbm, h, leak, duration_s, dt_s, harvest_while_transmitting):
-    p_in = _ref_harvested_power_w(h, pr_dbm)
+    p_in = h.harvested_power_w(pr_dbm)
     trace = powersim.SimTrace(initial_energy_j=c.energy_j)
     state = "cold"
     t = 0.0
@@ -389,22 +375,6 @@ def test_leakage_power_bit_exact_against_np_interp(leak):
     vs = [float(v) for v in rng.uniform(-0.5, 3.5, 10_000)]
     vs += knots + [-1.0, -0.0, knots[-1] + 1.0, math.inf, -math.inf, math.nan]
     assert _bits([leak.power_w(v) for v in vs]) == _bits([_ref_power_w(leak, v) for v in vs])
-
-
-@pytest.mark.parametrize(
-    "h",
-    [
-        powersim.HarvesterModel.default_active(),
-        powersim.HarvesterModel.default_passive().with_scale(0.2828),
-    ],
-    ids=["active", "passive"],
-)
-def test_harvester_efficiency_bit_exact_against_np_interp(h):
-    rng = np.random.default_rng(8)
-    knots = [p for p, _ in h.efficiency_points]
-    prs = [float(p) for p in rng.uniform(-15.0, 15.0, 10_000)]
-    prs += knots + [knots[-1] + 5.0, math.nan]
-    assert _bits([h.efficiency(p) for p in prs]) == _bits([_ref_efficiency(h, p) for p in prs])
 
 
 @pytest.mark.parametrize("variant", ["passive", "active"])
