@@ -7,7 +7,7 @@ Run with:  python3 demos/01_modulation_and_spectrum.py
 
 import numpy as np
 
-from rfsn import chirp
+from rfsn import chirp, harness
 
 # A 1 MHz oscillator supports a 125 kHz chirp (the toggle generator needs
 # eight clock cycles per carrier period at the band edge).
@@ -33,7 +33,7 @@ print("quantized-vs-ideal sample mismatch: %.3f" % mismatch)
 # Power accounting: the dechirp correlator only captures the part of the
 # square wave that projects onto the complex chirp template. Around 40% of
 # the power is in-band for the ideal envelope; clock quantization costs more.
-frac_ideal = chirp.measured_square_detection_fraction(p)
+frac_ideal = harness.BerEngine(p, "square-ideal").detection_fraction()
 print("\nmean dechirp capture fraction (ideal square): %.3f" % frac_ideal)
 
 ps = chirp.spectrum(w)

@@ -18,7 +18,6 @@ from .chirp import (
     ChirpParams,
     PowerSpectrum,
     derive_params,
-    detection_power_fraction,
     instantaneous_frequency,
     modulate_ideal,
     modulate_quantized,
@@ -45,11 +44,10 @@ from .powersim import (
     LeakageCurve,
     PassiveNodeModel,
     SimTrace,
-    harvested_power,
+    euler_step,
     min_startup_incident_power,
     passive_steady_state,
     run_active_fsm,
-    step_capacitor,
     time_to_voltage,
 )
 from .rxdsp import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -143,6 +143,11 @@ def permittivity_from_shift(f_air_hz: float, f_embedded_hz: float) -> float:
     return (f_air_hz / f_embedded_hz) ** 2
 
 
+def dbm_to_w(power_dbm: float) -> float:
+    """Power in watts of a level given in dBm."""
+    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+
+
 def apply_gain(w: Waveform, gain_db: float) -> Waveform:
     """Scale the waveform by a power gain in dB (result is analog)."""
     scale = 10.0 ** (gain_db / 20.0)
@@ -183,15 +188,17 @@ def add_awgn(w: Waveform, n: NoiseModel) -> Waveform:
     return Waveform(n.add(samples, w.fs_hz, rng), w.fs_hz, KIND_ANALOG)
 
 
-# Piecewise-linear template of one wideband burst, defined over a unit
-# duration: full-swing zigzag through +1, -1, +1, -1, +1.
-_BURST_KNOTS_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-_BURST_KNOTS_V = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+# Default envelope of one wideband burst: knots evenly spaced over a unit
+# duration, a full-swing zigzag through +1, -1, +1, -1, +1.
+W_BURST_ENVELOPE = (1.0, -1.0, 1.0, -1.0, 1.0)
 
 
-def burst_template(n_samples: int) -> np.ndarray:
+def burst_template(n_samples: int, envelope: tuple[float, ...] = W_BURST_ENVELOPE) -> np.ndarray:
+    """One burst's envelope, linear between evenly spaced knots, at n_samples
+    points spanning the burst with both ends included."""
+    knots = np.asarray(envelope, dtype=np.float64)
     t = np.linspace(0.0, 1.0, n_samples)
-    return np.interp(t, _BURST_KNOTS_T, _BURST_KNOTS_V)
+    return np.interp(t, np.linspace(0.0, 1.0, len(knots)), knots)
 
 
 @dataclass(frozen=True)
@@ -201,16 +208,15 @@ class WBurstModel:
     Bursts arrive as a Poisson process with mean interval ``mean_interval_s``
     and last ``duration_s`` each.  Amplitude is ``amplitude_scale`` times the
     RMS of the disturbed signal — the interferer is co-located machinery,
-    orders of magnitude above the backscatter level.  ``envelope`` overrides
-    the default double-dip shape with an arbitrary sample array spanning one
-    burst duration.
+    orders of magnitude above the backscatter level.  ``envelope`` gives the
+    burst shape as knot values evenly spaced over one burst duration.
     """
 
     mean_interval_s: float = W_BURST_PERIOD_S
     duration_s: float = W_BURST_DURATION_S
     amplitude_scale: float = W_BURST_AMPLITUDE_SCALE
     seed: int = 0
-    envelope: tuple[float, ...] | None = None
+    envelope: tuple[float, ...] = W_BURST_ENVELOPE
 
     def __post_init__(self) -> None:
         if self.mean_interval_s <= 0 or self.duration_s <= 0:
@@ -219,13 +225,6 @@ class WBurstModel:
             raise ConfigurationError("burst duration must be below the mean interval")
         if self.amplitude_scale < 0:
             raise ConfigurationError("amplitude_scale must be non-negative")
-
-    def template(self, n_samples: int) -> np.ndarray:
-        if self.envelope is None:
-            return burst_template(n_samples)
-        src = np.asarray(self.envelope, dtype=np.float64)
-        t = np.linspace(0.0, 1.0, n_samples, endpoint=False)
-        return np.interp(t, np.linspace(0.0, 1.0, len(src)), src)
 
     def arrival_times(
         self, t_start_s: float, t_end_s: float, rng: np.random.Generator
@@ -241,6 +240,32 @@ class WBurstModel:
         return np.asarray(times)
 
 
+def add_w_bursts(
+    x: np.ndarray,
+    m: WBurstModel,
+    span_s: float,
+    fs_hz: float,
+    rms: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Add m's bursts in place to the 1-D sample block x covering [0, span_s).
+
+    Burst amplitude is ``m.amplitude_scale * rms``; a burst running past the
+    end of the block is cut off.  Returns the arrival times, which are drawn
+    from rng even at amplitude_scale = 0.
+    """
+    arrivals = m.arrival_times(0.0, span_s, rng)
+    if m.amplitude_scale > 0:
+        n_burst = max(1, int(round(m.duration_s * fs_hz)))
+        template = m.amplitude_scale * rms * burst_template(n_burst, m.envelope)
+        for t0 in arrivals:
+            i = int(round(t0 * fs_hz))
+            j = min(i + n_burst, len(x))
+            if i < len(x):
+                x[i:j] += template[: j - i]
+    return arrivals
+
+
 def inject_w_bursts(w: Waveform, m: WBurstModel) -> tuple[Waveform, list[tuple[float, float]]]:
     """Add seeded interference bursts; returns (waveform, [(start_s, duration_s)]).
 
@@ -249,18 +274,9 @@ def inject_w_bursts(w: Waveform, m: WBurstModel) -> tuple[Waveform, list[tuple[f
     """
     if len(w.samples) == 0:
         raise ConfigurationError("cannot inject bursts into an empty waveform")
-    rng = np.random.default_rng(m.seed)
     x = np.asarray(w.samples, dtype=np.float64).copy()
     rms = float(np.sqrt(np.mean(x**2))) or 1.0
-    arrivals = m.arrival_times(0.0, w.duration_s, rng)
-    n_burst = max(1, int(round(m.duration_s * w.fs_hz)))
-    template = m.amplitude_scale * rms * m.template(n_burst)
-    if m.amplitude_scale > 0:
-        for t0 in arrivals:
-            i = int(round(t0 * w.fs_hz))
-            j = min(i + n_burst, len(x))
-            if i < len(x):
-                x[i:j] += template[: j - i]
+    arrivals = add_w_bursts(x, m, w.duration_s, w.fs_hz, rms, np.random.default_rng(m.seed))
     return Waveform(x, w.fs_hz, KIND_ANALOG), [(float(t0), m.duration_s) for t0 in arrivals]
 
 

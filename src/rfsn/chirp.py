@@ -190,10 +190,13 @@ def _drop_coincident_pairs(t: np.ndarray, bw_hz: float) -> np.ndarray:
 
     A phase crossing that lands exactly on a frequency wrap or a symbol
     boundary can be solved once on each side of the seam; genuine adjacent
-    crossings are at least half a carrier period apart, so anything closer is
-    the same crossing counted twice and only one copy is kept.
+    crossings are at least half a carrier period 1/(2*bw) apart, so anything
+    closer is the same crossing counted twice and only one copy is kept.  The
+    two copies can differ by more than 1e-6/bw of float error (2.6e-10 s at
+    sf 6, bw 4096 Hz, symbols 50 -> 0), so the tolerance is 1e-3/bw, still
+    500 times below the shortest half-period.
     """
-    eps = 1e-6 / bw_hz
+    eps = 1e-3 / bw_hz
     dup = np.nonzero(np.diff(t) < eps)[0]
     if dup.size == 0:
         return t
@@ -320,33 +323,3 @@ def spectrum(w: Waveform) -> PowerSpectrum:
     psd = np.abs(spec) ** 2 / n**2
     freqs = np.fft.fftfreq(n, d=1.0 / w.fs_hz)
     return PowerSpectrum(freqs_hz=freqs, psd=psd, total_power=float(psd.sum()))
-
-
-def detection_power_fraction(w: Waveform, p: ChirpParams, symbol: int = 0) -> float:
-    """Fraction of mean-removed signal power that lands in the symbol's dechirp bin.
-
-    Normalized so an ideal complex linear chirp scores exactly 1.0.  The value
-    measured for the binary square chirp is this repository's counterpart to
-    the fixed 0.712 constant used in the closed-form SNR.
-    """
-    from . import rxdsp  # local import, rxdsp depends on this module
-
-    _check_symbol(symbol, p)
-    x = w.mean_removed()
-    m = p.samples_per_symbol
-    if len(x) < m:
-        raise ConfigurationError("waveform shorter than one symbol")
-    x = x[:m]
-    folded = rxdsp.dechirp_bins(x, p)
-    total = float(np.sum(np.abs(x) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.abs(folded[symbol]) ** 2 / (m * total))
-
-
-def measured_square_detection_fraction(p: ChirpParams) -> float:
-    """Mean dechirp-bin power fraction of the ideal square chirp over all symbols."""
-    fractions = [
-        detection_power_fraction(modulate_ideal([s], p), p, symbol=s) for s in range(p.n_bins)
-    ]
-    return float(np.mean(fractions))

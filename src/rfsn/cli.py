@@ -8,15 +8,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import channel, chirp, harness, rxdsp
+from . import chirp, harness, rxdsp
 from .errors import ConfigurationError, RfsnError
-from .waveform import KIND_BINARY, Waveform
+from .waveform import Waveform
 
 
 def _write_text(text: str, out_path: str | None) -> None:
@@ -27,19 +28,36 @@ def _write_text(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(rows, fmt: str, out_path: str | None) -> None:
+def _csv_text(header, rows) -> str:
+    """CSV with \\n line endings; floats are written as their repr."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def rows_text(rows, fmt: str) -> str:
+    """Dataclass rows as CSV or JSON text.
+
+    A non-finite float, such as the charge time of an unreachable target, is
+    written as ``never`` in CSV and ``null`` in JSON.
+    """
+    dicts = [dataclasses.asdict(r) for r in rows]
+
+    def cell(v, missing):
+        return missing if isinstance(v, float) and not math.isfinite(v) else v
+
     if fmt == "json":
-        _write_text(harness.rows_to_json_text(rows), out_path)
-    else:
-        _write_text(harness.rows_to_csv_text(rows), out_path)
+        return json.dumps([{k: cell(v, None) for k, v in d.items()} for d in dicts], indent=2) + "\n"
+    return _csv_text(dicts[0], ([cell(v, "never") for v in d.values()] for d in dicts))
 
 
 def _emit_dict(d: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         _write_text(json.dumps(d, indent=2) + "\n", out_path)
     else:
-        lines = ["key,value"] + [f"{k},{v}" for k, v in d.items()]
-        _write_text("\n".join(lines) + "\n", out_path)
+        _write_text(_csv_text(["key", "value"], d.items()), out_path)
 
 
 def _load_cfg(args) -> harness.ExperimentConfig:
@@ -106,9 +124,7 @@ def cmd_demodulate(args) -> None:
         _write_text(json.dumps([int(s) for s in detected]) + "\n", args.out)
     else:
         _write_text(
-            "symbol_index,detected\n"
-            + "\n".join(f"{i},{int(s)}" for i, s in enumerate(detected))
-            + "\n",
+            _csv_text(["symbol_index", "detected"], enumerate(int(s) for s in detected)),
             args.out,
         )
 
@@ -118,39 +134,21 @@ def cmd_spectrum(args) -> None:
     ps = chirp.spectrum(w)
     order = np.argsort(ps.freqs_hz)
     _write_text(
-        "freq_hz,psd\n"
-        + "\n".join(f"{float(ps.freqs_hz[i])!r},{float(ps.psd[i])!r}" for i in order)
-        + "\n",
+        _csv_text(["freq_hz", "psd"], zip(ps.freqs_hz[order].tolist(), ps.psd[order].tolist())),
         args.out,
     )
 
 
 def cmd_ber_sweep(args) -> None:
-    cfg = _load_cfg(args)
-    _emit_rows(harness.run_ber_sweep(cfg), args.format, args.out)
+    _write_text(rows_text(harness.run_ber_sweep(_load_cfg(args)), args.format), args.out)
 
 
 def cmd_charge_sweep(args) -> None:
-    cfg = _load_cfg(args)
-    rows = harness.run_charge_sweep(cfg)
-    if args.format == "json":
-        payload = [
-            {**dataclasses.asdict(r), "time_s": None if math.isinf(r.time_s) else r.time_s}
-            for r in rows
-        ]
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["pr_dbm,variant,capacitance_f,target_v,time_s"]
-        for r in rows:
-            lines.append(
-                f"{r.pr_dbm!r},{r.variant},{r.capacitance_f!r},{r.target_v!r},{r.time_text}"
-            )
-        _write_text("\n".join(lines) + "\n", args.out)
+    _write_text(rows_text(harness.run_charge_sweep(_load_cfg(args)), args.format), args.out)
 
 
 def cmd_theory(args) -> None:
-    cfg = _load_cfg(args)
-    _emit_rows(harness.run_theory_report(cfg), args.format, args.out)
+    _write_text(rows_text(harness.run_theory_report(_load_cfg(args)), args.format), args.out)
 
 
 def cmd_calibrate(args) -> None:

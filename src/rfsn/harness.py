@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import io
-import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -15,7 +11,16 @@ import numpy as np
 from . import channel, chirp, powersim, rxdsp
 from .errors import CalibrationError, ConfigurationError
 
-SWEEP_AXES = ("eirp_dbm", "depth_cm", "bandwidth_hz", "pr_dbm")
+# Sweep axis -> (cfg, table, value) -> (fosc_hz, pr_dbm) of that sweep point.
+SWEEP_AXES = {
+    "eirp_dbm": lambda cfg, table, v: (cfg.fosc_hz, table.incident_power_dbm(v, cfg.depth_cm)),
+    "depth_cm": lambda cfg, table, v: (cfg.fosc_hz, table.incident_power_dbm(cfg.eirp_dbm, v)),
+    "bandwidth_hz": lambda cfg, table, v: (
+        8.0 * v,
+        table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm),
+    ),
+    "pr_dbm": lambda cfg, table, v: (cfg.fosc_hz, v),
+}
 TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 
 
@@ -51,32 +56,47 @@ class ExperimentConfig:
     anchor_ber: float = 0.162
     n_symbols_calibration: int = 30000
 
+    def burst_model(self) -> channel.WBurstModel:
+        return channel.WBurstModel(
+            self.burst_period_s, self.burst_duration_s, self.burst_amplitude_scale
+        )
+
     def validate(self) -> None:
+        """Raise one ConfigurationError naming every problem with this config.
+
+        The chirp, burst and capacitor settings are checked by building the
+        objects that own those checks.
+        """
         problems = []
-        if not chirp.SF_MIN <= self.sf <= chirp.SF_MAX:
-            problems.append(f"sf={self.sf} outside [{chirp.SF_MIN}, {chirp.SF_MAX}]")
-        if self.fosc_hz <= 0:
-            problems.append(f"fosc_hz={self.fosc_hz} must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(v):
+                problems.append(f"{f.name}={v!r} is not finite")
+            elif f.type == "list[float]" and not all(math.isfinite(x) for x in v):
+                problems.append(f"{f.name}={v!r} holds a non-finite value")
+        for build in (
+            lambda: _engine_params(self),
+            self.burst_model,
+            lambda: powersim.Capacitor(self.capacitance_f),
+        ):
+            try:
+                build()
+            except ConfigurationError as exc:
+                problems.append(str(exc))
         if self.n0_w_per_hz <= 0:
             problems.append(f"n0_w_per_hz={self.n0_w_per_hz} must be positive")
         if self.template not in TEMPLATE_KINDS:
             problems.append(f"template={self.template!r} not one of {TEMPLATE_KINDS}")
         if self.sweep_axis not in SWEEP_AXES:
-            problems.append(f"sweep_axis={self.sweep_axis!r} not one of {SWEEP_AXES}")
+            problems.append(f"sweep_axis={self.sweep_axis!r} not one of {tuple(SWEEP_AXES)}")
         if not self.sweep_values:
             problems.append("sweep_values is empty")
         if self.n_symbols < 1:
             problems.append(f"n_symbols={self.n_symbols} must be >= 1")
         if not 0.0 < self.detection_fraction <= 1.0:
             problems.append(f"detection_fraction={self.detection_fraction} outside (0, 1]")
-        if min(self.burst_period_s, self.burst_duration_s) <= 0:
-            problems.append("burst period and duration must be positive")
-        if self.burst_amplitude_scale < 0:
-            problems.append("burst_amplitude_scale must be non-negative")
         if self.charge_variant not in ("passive", "active"):
             problems.append(f"charge_variant={self.charge_variant!r} not passive/active")
-        if self.capacitance_f <= 0:
-            problems.append(f"capacitance_f={self.capacitance_f} must be positive")
         if not 0 < self.dt_s <= 1e-3:
             problems.append(f"dt_s={self.dt_s} outside (0, 1e-3]")
         if self.efficiency_scale <= 0:
@@ -212,8 +232,7 @@ class BerEngine:
     ) -> rxdsp.BerResult:
         p = self.p
         m = p.samples_per_symbol
-        amp = math.sqrt(ps_w)
-        sig_rms = amp  # templates are unit-power
+        amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
         rng = np.random.default_rng(seed)
         sym_err = bit_err = 0
         done = 0
@@ -226,14 +245,7 @@ class BerEngine:
                 flat = x.reshape(-1)
                 if self.complex_noise:
                     flat = flat.view(np.float64)[::2]  # in-place view of the real part
-                span = nb * p.ds_s
-                nb_s = max(1, int(round(bursts.duration_s * p.fs_hz)))
-                template = bursts.amplitude_scale * sig_rms * channel.burst_template(nb_s)
-                for t0 in bursts.arrival_times(0.0, span, rng):
-                    i = int(round(t0 * p.fs_hz))
-                    j = min(i + nb_s, len(flat))
-                    if i < len(flat):
-                        flat[i:j] += template[: j - i]
+                channel.add_w_bursts(flat, bursts, nb * p.ds_s, p.fs_hz, amp, rng)
             y = noise.add(x, p.fs_hz, rng)
             y = y - y.mean(axis=1, keepdims=True)
             mags = np.abs(rxdsp.dechirp_bins(y, p))
@@ -285,50 +297,22 @@ class SweepRow:
     runtime_s: float
 
 
-def _rows_to_csv(rows, out) -> None:
-    names = [f.name for f in fields(rows[0])]
-    w = csv.writer(out)
-    w.writerow(names)
-    for r in rows:
-        w.writerow([getattr(r, n) for n in names])
-
-
-def rows_to_csv_text(rows) -> str:
-    buf = io.StringIO()
-    _rows_to_csv(rows, buf)
-    return buf.getvalue()
-
-
-def rows_to_json_text(rows) -> str:
-    return json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
-
-
 def run_ber_sweep(cfg: ExperimentConfig, table: channel.IncidentPowerTable | None = None) -> list[SweepRow]:
     """Monte-Carlo BER across the configured sweep axis, one seeded row per point."""
     cfg.validate()
     table = table or channel.IncidentPowerTable.default()
-    burst_model = channel.WBurstModel(
-        cfg.burst_period_s, cfg.burst_duration_s, cfg.burst_amplitude_scale
-    )
+    burst_model = cfg.burst_model()
     bursts = burst_model if cfg.bursts_enabled else None
+    point = SWEEP_AXES[cfg.sweep_axis]
     rows = []
     engines: dict[float, BerEngine] = {}
     for idx, value in enumerate(cfg.sweep_values):
-        fosc = cfg.fosc_hz
-        if cfg.sweep_axis == "eirp_dbm":
-            pr = table.incident_power_dbm(value, cfg.depth_cm)
-        elif cfg.sweep_axis == "depth_cm":
-            pr = table.incident_power_dbm(cfg.eirp_dbm, value)
-        elif cfg.sweep_axis == "bandwidth_hz":
-            fosc = 8.0 * value
-            pr = table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm)
-        else:
-            pr = value
+        fosc, pr = point(cfg, table, value)
         if fosc not in engines:
             engines[fosc] = BerEngine(_engine_params(cfg, fosc), cfg.template)
         eng = engines[fosc]
         p = eng.p
-        ps_w = 10.0 ** ((pr + cfg.composite_gain_db - 30.0) / 10.0)
+        ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
         snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz, cfg.detection_fraction)
         t0 = time.perf_counter()
         res = eng.run(ps_w, cfg.n0_w_per_hz, cfg.n_symbols, cfg.base_seed + idx, bursts)
@@ -358,10 +342,6 @@ class ChargeRow:
     capacitance_f: float
     target_v: float
     time_s: float  # math.inf means the target is unreachable
-
-    @property
-    def time_text(self) -> str:
-        return "never" if math.isinf(self.time_s) else repr(self.time_s)
 
 
 def charge_models(cfg: ExperimentConfig) -> tuple[powersim.HarvesterModel, powersim.LeakageCurve]:
@@ -442,10 +422,8 @@ def run_theory_report(cfg: ExperimentConfig, clocks_hz=TABLE_CLOCKS_HZ) -> list[
     cfg.validate()
     table = channel.IncidentPowerTable.default()
     pr = table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm)
-    ps_w = 10.0 ** ((pr + cfg.composite_gain_db - 30.0) / 10.0)
-    burst_model = channel.WBurstModel(
-        cfg.burst_period_s, cfg.burst_duration_s, cfg.burst_amplitude_scale
-    )
+    ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
+    burst_model = cfg.burst_model()
     rows = []
     for fosc in clocks_hz:
         p = chirp.derive_params(cfg.sf, fosc)
@@ -496,7 +474,7 @@ def calibrate_composite_gain(
     n = cfg.n_symbols_calibration
 
     def ber_at(gain_db: float, seed_salt: int) -> float:
-        ps = 10.0 ** ((pr + gain_db - 30.0) / 10.0)
+        ps = channel.dbm_to_w(pr + gain_db)
         return eng.run(ps, cfg.n0_w_per_hz, n, cfg.base_seed + 7000 + seed_salt).ber
 
     if ber_at(lo_db, 0) < cfg.anchor_ber or ber_at(hi_db, 1) > cfg.anchor_ber:

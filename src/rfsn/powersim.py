@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import dbm_to_w
 from .errors import ConfigurationError
 
 # Active-node supervisor thresholds (volts).
@@ -50,33 +51,24 @@ class Capacitor:
     def v_volts(self) -> float:
         return math.sqrt(2.0 * self.energy_j / self.capacitance_f)
 
-    v = v_volts
-
     def energy_at(self, v_volts: float) -> float:
         return 0.5 * self.capacitance_f * v_volts**2
 
 
-def _euler_step(
+def euler_step(
     e: float, p_in_w: float, p_out_w: float, dt_s: float
 ) -> tuple[float, float, float]:
-    """One Euler step on stored energy; returns (energy_j, harvested_j, consumed_j).
+    """One Euler step on stored energy E' = max(0, E + (p_in - p_out)*dt).
 
-    The consumed ledger entry is the energy actually removed, which is less
-    than p_out*dt when the capacitor bottoms out at zero.  The caller checks
-    that dt is positive.
+    Returns (energy_j, harvested_j, consumed_j).  The consumed ledger entry is
+    the energy actually removed, which is less than p_out*dt when the
+    capacitor bottoms out at zero.  The caller checks that dt is positive.
     """
     harvested = p_in_w * dt_s
     e_new = e + harvested - p_out_w * dt_s
     if e_new < 0.0:
         return 0.0, harvested, e + harvested
     return e_new, harvested, p_out_w * dt_s
-
-
-def step_capacitor(c: Capacitor, p_in_w: float, p_out_w: float, dt_s: float) -> Capacitor:
-    """Euler step on stored energy: E' = max(0, E + (p_in - p_out)*dt)."""
-    if dt_s <= 0:
-        raise ConfigurationError("dt must be positive")
-    return Capacitor(c.capacitance_f, _euler_step(c.energy_j, p_in_w, p_out_w, dt_s)[0])
 
 
 def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
@@ -167,12 +159,7 @@ class HarvesterModel:
         return self.scale * float(np.interp(pr_dbm, x, y))
 
     def harvested_power_w(self, pr_dbm: float) -> float:
-        return self.efficiency(pr_dbm) * 10.0 ** ((pr_dbm - 30.0) / 10.0)
-
-
-def harvested_power(pr_dbm: float, h: HarvesterModel) -> float:
-    """RF-to-DC output power (W) at the given incident level."""
-    return h.harvested_power_w(pr_dbm)
+        return self.efficiency(pr_dbm) * dbm_to_w(pr_dbm)
 
 
 @dataclass(frozen=True)
@@ -253,7 +240,7 @@ def time_to_voltage(
     t = 0.0
     stalled = 0
     while v < v_target:
-        e_next = _euler_step(e, p_in, leakage.power_w(v), dt_s)[0]
+        e_next = euler_step(e, p_in, leakage.power_w(v), dt_s)[0]
         stalled = stalled + 1 if e_next <= e else 0
         if stalled >= stall_steps:
             return math.inf
@@ -374,7 +361,7 @@ def run_active_fsm(
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s and state != DEAD:
         if state in (COLD, SLEEPING):
-            e, got, used = _euler_step(e, p_in, leak.power_w(v), dt_s)
+            e, got, used = euler_step(e, p_in, leak.power_w(v), dt_s)
             v = math.sqrt(2.0 * e / cap)
             harvested += got
             consumed += used
@@ -383,7 +370,7 @@ def run_active_fsm(
             if v >= threshold:
                 if state == COLD:
                     # boot is an impulse: the whole bring-up cost at once
-                    e, got, used = _euler_step(e, 0.0, fsm.e_boot_j / dt_s, dt_s)
+                    e, got, used = euler_step(e, 0.0, fsm.e_boot_j / dt_s, dt_s)
                     v = math.sqrt(2.0 * e / cap)
                     harvested += got
                     consumed += used
@@ -402,7 +389,7 @@ def run_active_fsm(
             gain = pin_tx * pt
             drain = leak.power_w(v) * pt + fsm.e_packet_j
             if e + gain - drain >= e_sleep and t + pt <= duration_s:
-                e, got, used = _euler_step(e, pin_tx, drain / pt, pt)
+                e, got, used = euler_step(e, pin_tx, drain / pt, pt)
                 v = math.sqrt(2.0 * e / cap)
                 harvested += got
                 consumed += used
@@ -414,7 +401,7 @@ def run_active_fsm(
                 # take the first recharge step before logging so every event
                 # timestamp is strictly later than the last packet's
                 state = SLEEPING
-                e, got, used = _euler_step(e, p_in, leak.power_w(v), dt_s)
+                e, got, used = euler_step(e, p_in, leak.power_w(v), dt_s)
                 v = math.sqrt(2.0 * e / cap)
                 harvested += got
                 consumed += used

@@ -162,15 +162,13 @@ class BerResult:
     ber: float
     wilson_95_halfwidth: float
 
-    def csv_row(self, sf: int, bw_hz: float, snr_db: float) -> str:
-        return (
-            f"{sf},{bw_hz!r},{snr_db!r},{self.n_symbols},"
-            f"{self.ser!r},{self.ber!r},{self.wilson_95_halfwidth!r}"
-        )
-
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score 95% confidence interval for a binomial proportion."""
+    """Wilson score 95% confidence interval for a binomial proportion.
+
+    The bounds are exactly 0 at k = 0 and exactly 1 at k = n, where
+    center -/+ half cancels only to within rounding.
+    """
     if n <= 0:
         return 0.0, 1.0
     phat = k / n
@@ -178,7 +176,9 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if k == 0 else max(0.0, center - half)
+    hi = 1.0 if k == n else min(1.0, center + half)
+    return lo, hi
 
 
 def wilson_halfwidth(k: int, n: int) -> float:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfsn import chirp
+from rfsn import chirp, harness
 from rfsn.errors import ConfigurationError
 
 
@@ -83,25 +83,29 @@ def test_symbol_phase_is_nondecreasing_and_matches_frequency():
 
 
 def test_modulate_ideal_is_binary_and_matches_phase_threshold():
-    p = chirp.derive_params(7, 32768, fs_hz=32768)
-    syms = [0, 1, 63, 127]
-    w = chirp.modulate_ideal(syms, p)
-    assert set(np.unique(w.samples)) <= {0.0, 1.0}
-    assert len(w) == len(syms) * p.samples_per_symbol
-    # oracle: envelope is 1 while frac(phi/2pi) < 1/2, phase accumulated
-    m = p.samples_per_symbol
-    phi0 = 0.0
-    ref = []
-    for s in syms:
-        t = np.arange(m) / p.fs_hz
-        phi = chirp.symbol_phase(s, p, t, phi0)
-        ref.append((np.mod(phi / (2 * np.pi), 1.0) < 0.5).astype(float))
-        phi0 = float(chirp.symbol_phase(s, p, np.array([p.ds_s]), phi0)[0]) % (
-            2 * np.pi
-        )
-    ref = np.concatenate(ref)
-    # isolated samples landing exactly on a toggle may flip either way
-    assert np.mean(w.samples != ref) < 1e-3
+    # sf 6, 50 -> 0 puts a phase crossing on the symbol boundary, solved once
+    # on each side of it
+    for sf, syms in [(7, [0, 1, 63, 127]), (6, [50, 0])]:
+        p = chirp.derive_params(sf, 32768, fs_hz=32768)
+        w = chirp.modulate_ideal(syms, p)
+        assert set(np.unique(w.samples)) <= {0.0, 1.0}
+        assert len(w) == len(syms) * p.samples_per_symbol
+        # oracle: envelope is 1 while frac(phi/2pi) < 1/2, phase accumulated
+        m = p.samples_per_symbol
+        phi0 = 0.0
+        ref = []
+        for s in syms:
+            t = np.arange(m) / p.fs_hz
+            phi = chirp.symbol_phase(s, p, t, phi0)
+            ref.append((np.mod(phi / (2 * np.pi), 1.0) < 0.5).astype(float))
+            phi0 = float(chirp.symbol_phase(s, p, np.array([p.ds_s]), phi0)[0]) % (
+                2 * np.pi
+            )
+        ref = np.concatenate(ref)
+        # only samples landing exactly on a toggle may flip either way
+        t_bad = np.flatnonzero(w.samples != ref) / p.fs_hz
+        gap = np.abs(t_bad[:, None] - w.toggle_instants[None, :]).min(axis=1)
+        assert np.all(gap * p.fs_hz < 1e-6), (sf, syms)
 
 
 def test_toggle_instants_sorted_with_physical_separation():
@@ -134,6 +138,13 @@ def test_quantize_jitter_is_seeded():
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.parametrize("sf", [6, 7])
+def test_modulate_quantized_accepts_every_transition_into_zero(sf):
+    p = chirp.derive_params(sf, 32768, fs_hz=32768)
+    for a in range(p.n_bins):
+        chirp.modulate_quantized([a, 0], p)
+
+
 def test_quantize_with_too_slow_clock_is_infeasible():
     p = chirp.derive_params(7, 32768, fs_hz=32768)
     w = chirp.modulate_ideal([64], p)
@@ -152,8 +163,4 @@ def test_spectrum_satisfies_parseval():
 def test_detection_power_fraction_of_square_envelope():
     """The binary envelope concentrates under half its AC power in the peak bin."""
     p = chirp.derive_params(7, 32768, fs_hz=32768)
-    w_ideal = chirp.modulate_ideal([0], p)
-    f_sq = chirp.detection_power_fraction(w_ideal, p)
-    f_mean = chirp.measured_square_detection_fraction(p)
-    assert 0.3 < f_sq < 0.5
-    assert 0.3 < f_mean < 0.5
+    assert 0.3 < harness.BerEngine(p, "square-ideal").detection_fraction() < 0.5

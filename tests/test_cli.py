@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rfsn.cli import main
 from rfsn.waveform import Waveform
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -131,3 +134,69 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid finite_float value" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON holds the non-standard constant {name}")
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("ber-sweep", None), ("theory", "theory_report.cfg"), ("charge-sweep", "charge_sweep.cfg")],
+)
+def test_sweep_output_is_strict_json_and_plain_csv(command, config, tmp_path, capsys):
+    if config is None:
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            "sweep_axis = pr_dbm\nsweep_values = -95, -60\nn_symbols = 20\ntemplate = complex\n"
+        )
+    else:
+        path = CONFIGS / config
+    texts = {}
+    for fmt in ("csv", "json"):
+        code, texts[fmt] = run_cli(capsys, command, "--config", str(path), "--format", fmt)
+        assert code == 0
+    rows = json.loads(texts["json"], parse_constant=_reject_constant)
+    assert "\r" not in texts["csv"]
+    lines = texts["csv"].splitlines()
+    assert lines[0].split(",") == list(rows[0])
+    assert len(lines) == len(rows) + 1
+
+
+# `rfsn charge-sweep --config configs/charge_sweep.cfg` output, unchanged since
+# before the sweep commands shared one row emitter
+CHARGE_SWEEP_CSV = """pr_dbm,variant,capacitance_f,target_v,time_s
+-10.0,passive,2.2e-05,1.8,never
+-8.1,passive,2.2e-05,1.8,15.358999999996927
+-6.0,passive,2.2e-05,1.8,5.043000000000019
+-4.0,passive,2.2e-05,1.8,1.8659999999999053
+-2.3,passive,2.2e-05,1.8,0.9010000000000007
+0.0,passive,2.2e-05,1.8,0.3940000000000003
+5.0,passive,2.2e-05,1.8,0.08900000000000007
+"""
+CHARGE_SWEEP_JSON = "[\n" + ",\n".join(
+    "  {\n"
+    f'    "pr_dbm": {pr},\n'
+    '    "variant": "passive",\n'
+    '    "capacitance_f": 2.2e-05,\n'
+    '    "target_v": 1.8,\n'
+    f'    "time_s": {t}\n'
+    "  }"
+    for pr, t in [
+        ("-10.0", "null"),
+        ("-8.1", "15.358999999996927"),
+        ("-6.0", "5.043000000000019"),
+        ("-4.0", "1.8659999999999053"),
+        ("-2.3", "0.9010000000000007"),
+        ("0.0", "0.3940000000000003"),
+        ("5.0", "0.08900000000000007"),
+    ]
+) + "\n]\n"
+
+
+def test_charge_sweep_text_is_pinned(capsys):
+    for fmt, want in (("csv", CHARGE_SWEEP_CSV), ("json", CHARGE_SWEEP_JSON)):
+        code, out = run_cli(
+            capsys, "charge-sweep", "--config", str(CONFIGS / "charge_sweep.cfg"), "--format", fmt
+        )
+        assert (code, out) == (0, want)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfsn import channel, chirp, harness, powersim, rxdsp
+from rfsn import channel, chirp, cli, harness, powersim, rxdsp
 from rfsn.errors import CalibrationError, ConfigurationError
 
 
@@ -44,9 +44,26 @@ def test_parse_config_unknown_key_rejected():
         ("scenario = x\nsf = 7\nsweep_values = nan, 1\n", 3),
         ("eirp_dbm = inf\n", 1),
         ("sweep_values = 1, -inf\n", 1),
+        # built in code: only validate() sees these values
+        pytest.param(
+            harness.ExperimentConfig(n0_w_per_hz=math.nan, sweep_values=[math.nan]),
+            None,
+            id="built-nan",
+        ),
+        pytest.param(
+            harness.ExperimentConfig(eirp_dbm=math.inf, sweep_values=[1.0, -math.inf]),
+            None,
+            id="built-inf",
+        ),
     ],
 )
 def test_parse_config_rejects_non_finite(text, lineno):
+    if lineno is None:
+        with pytest.raises(
+            ConfigurationError, match=r"=(nan|inf) is not finite; sweep_values=.* non-finite"
+        ):
+            text.validate()
+        return
     with pytest.raises(ConfigurationError, match=f"line {lineno}: .*non-finite"):
         harness.parse_config(text)
 
@@ -108,8 +125,12 @@ def test_engine_bursts_raise_errors_at_high_snr():
     clean = eng.run(1.0, 1e-12, 4096, seed=3)
     m = channel.WBurstModel(amplitude_scale=150.0)
     hit = eng.run(1.0, 1e-12, 4096, seed=3, bursts=m)
+    # the burst envelope reaches the engine: an all-zero one adds nothing
+    silent = channel.WBurstModel(amplitude_scale=150.0, envelope=(0.0, 0.0))
+    quiet = eng.run(1.0, 1e-12, 4096, seed=3, bursts=silent)
     assert clean.n_symbol_errors == 0
     assert hit.n_symbol_errors > 0
+    assert quiet.ber == 0.0
 
 
 # -------------------------------------------------------------------- sweeps
@@ -132,9 +153,9 @@ def test_ber_sweep_rows_and_determinism():
         assert r.n_symbols == 1500
         assert 0 <= r.ser <= 1 and 0 <= r.ber <= 1
         assert r.wilson95 > 0
-    text = harness.rows_to_csv_text(rows)
+    text = cli.rows_text(rows, "csv")
     assert text.splitlines()[0].startswith("axis,axis_value,pr_dbm,ps_w,snr_db")
-    assert harness.rows_to_json_text(rows).startswith("[")
+    assert cli.rows_text(rows, "json").startswith("[")
 
 
 def test_ber_sweep_eirp_axis_uses_power_table():
@@ -161,7 +182,6 @@ def test_charge_sweep_passive_and_never():
     rows = harness.run_charge_sweep(cfg)
     assert rows[0].time_s < math.inf
     assert rows[1].time_s == math.inf
-    assert rows[1].time_text == "never"
 
 
 def test_fit_passive_efficiency_scale_hits_anchor():

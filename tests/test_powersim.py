@@ -19,7 +19,6 @@ def test_capacitor_energy_voltage_roundtrip():
     c = powersim.Capacitor.at_voltage(1e-3, 3.2)
     assert c.energy_j == pytest.approx(0.5 * 1e-3 * 3.2**2)
     assert c.v_volts == pytest.approx(3.2)
-    assert c.v == c.v_volts
     assert c.energy_at(1.8) == pytest.approx(0.5 * 1e-3 * 1.8**2)
 
 
@@ -28,12 +27,13 @@ def test_capacitor_rejects_nonpositive_capacitance():
         powersim.Capacitor(0.0)
 
 
-def test_step_capacitor_euler_and_clamp():
-    c = powersim.Capacitor(1e-3, energy_j=1e-6)
-    up = powersim.step_capacitor(c, 2e-3, 1e-3, 0.5)
-    assert up.energy_j == pytest.approx(1e-6 + 0.5e-3)
-    down = powersim.step_capacitor(c, 0.0, 1.0, 1.0)
-    assert down.energy_j == 0.0  # cannot go negative
+def test_euler_step_and_clamp():
+    e, harvested, consumed = powersim.euler_step(1e-6, 2e-3, 1e-3, 0.5)
+    assert e == pytest.approx(1e-6 + 0.5e-3)
+    assert (harvested, consumed) == (1e-3, 0.5e-3)
+    e, harvested, consumed = powersim.euler_step(1e-6, 0.0, 1.0, 1.0)
+    assert e == 0.0  # cannot go negative
+    assert consumed == 1e-6  # only what was stored is removed
 
 
 # ------------------------------------------------------------------ harvester
@@ -52,7 +52,6 @@ def test_harvested_power_arithmetic():
     h = powersim.HarvesterModel.default_active()
     want = h.efficiency(0.0) * 1e-3  # 0 dBm = 1 mW
     assert h.harvested_power_w(0.0) == pytest.approx(want)
-    assert powersim.harvested_power(0.0, h) == pytest.approx(want)
 
 
 def test_harvester_scale_and_validation():

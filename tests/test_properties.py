@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsn import channel, chirp, powersim, rxdsp
@@ -35,10 +35,14 @@ def test_waveform_bytes_roundtrip(values):
 
 
 @given(st.integers(0, 1000), st.integers(1, 1000))
+@example(k=0, n=125)
+@example(k=10, n=10)
 def test_wilson_interval_bounds(k, n):
     k = min(k, n)
     lo, hi = rxdsp.wilson_interval(k, n)
     assert 0.0 <= lo <= k / n <= hi + 1e-12 and hi <= 1.0
+    assert k > 0 or lo == 0.0
+    assert k < n or hi == 1.0
 
 
 @given(st.floats(1e-6, 10.0), st.integers(5, 12))
@@ -59,13 +63,13 @@ def test_interference_rate_bounded(ds):
     st.floats(1e-4, 1.0),
 )
 def test_capacitor_step_energy_accounting(p_in, p_out, dt):
-    c = powersim.Capacitor(1e-3, energy_j=1e-6)
-    out = powersim.step_capacitor(c, p_in, p_out, dt)
-    assert out.energy_j >= 0.0
-    assert out.energy_j <= c.energy_j + p_in * dt + 1e-15
+    e0 = 1e-6
+    e, _, _ = powersim.euler_step(e0, p_in, p_out, dt)
+    assert e >= 0.0
+    assert e <= e0 + p_in * dt + 1e-15
     # more input power never yields less energy
-    richer = powersim.step_capacitor(c, p_in * 2 + 1e-9, p_out, dt)
-    assert richer.energy_j >= out.energy_j
+    richer, _, _ = powersim.euler_step(e0, p_in * 2 + 1e-9, p_out, dt)
+    assert richer >= e
 
 
 @given(st.floats(-60.0, 40.0))

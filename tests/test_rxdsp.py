@@ -115,8 +115,6 @@ def test_score_fields():
     assert r.ser == pytest.approx(0.25)
     assert r.ber == pytest.approx(1 / 28)
     assert 0 < r.wilson_95_halfwidth < 0.2
-    row = r.csv_row(7, 4096.0, -3.0)
-    assert row.startswith("7,4096.0,-3.0,4,")
 
 
 def test_dechirp_resolves_off_grid_energy_with_oversampling():
