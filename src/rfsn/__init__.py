@@ -7,7 +7,6 @@ from .channel import (
     WBurstModel,
     add_awgn,
     apply_gain,
-    incident_power,
     inject_w_bursts,
     interference_symbol_error_rate,
     permittivity_from_shift,

@@ -90,13 +90,6 @@ class IncidentPowerTable:
         )
 
 
-def incident_power(
-    eirp_dbm: float, depth_cm: float, table: IncidentPowerTable | None = None
-) -> float:
-    """Incident power at the node (dBm) from the measurement grid."""
-    return (table or IncidentPowerTable.default()).incident_power_dbm(eirp_dbm, depth_cm)
-
-
 @dataclass(frozen=True)
 class AttenuationModel:
     """Analytic one-way field attenuation through the concrete cover."""
@@ -104,8 +97,6 @@ class AttenuationModel:
     alpha_dry_db_per_cm: float = ATTEN_DRY_DB_PER_CM
     alpha_wet_db_per_cm: float = ATTEN_WET_DB_PER_CM
     interface_loss_db: float = INTERFACE_LOSS_DB
-    tx_gain_dbi: float = 0.0
-    rx_gain_dbi: float = 0.0
 
     def __post_init__(self) -> None:
         if self.alpha_dry_db_per_cm <= 0 or self.alpha_wet_db_per_cm <= 0:
@@ -145,7 +136,10 @@ def permittivity_from_shift(f_air_hz: float, f_embedded_hz: float) -> float:
 
 def dbm_to_w(power_dbm: float) -> float:
     """Power in watts of a level given in dBm."""
-    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ConfigurationError(f"{power_dbm} dBm is too large to express in watts") from None
 
 
 def apply_gain(w: Waveform, gain_db: float) -> Waveform:

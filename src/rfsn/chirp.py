@@ -236,13 +236,6 @@ def modulate_ideal(symbols, p: ChirpParams) -> Waveform:
     return Waveform(samples, p.fs_hz, KIND_BINARY, toggle_instants=instants)
 
 
-def _edges_from_samples(w: Waveform) -> tuple[np.ndarray, int]:
-    """Approximate toggle instants (sample-boundary times) and initial value."""
-    s = w.samples
-    idx = np.flatnonzero(np.diff(s) != 0) + 1
-    return idx / w.fs_hz, int(s[0])
-
-
 def quantize_toggles(
     w: Waveform,
     fosc_hz: float,
@@ -254,23 +247,20 @@ def quantize_toggles(
     The MCU can only act on or after the scheduled cycle, so instants round
     upward to multiples of 4/fosc and keep at least one grid step between
     consecutive transitions.  ``jitter_cycles`` optionally adds uniform integer
-    instruction-cycle jitter (off by default).
+    instruction-cycle jitter (off by default).  ``w`` must come from
+    modulate_ideal, which records the exact toggle instants the quantizer snaps.
     """
     if w.kind != KIND_BINARY:
         raise ConfigurationError("quantize_toggles needs a binary-envelope waveform")
+    if w.toggle_instants is None:
+        raise ConfigurationError("quantize_toggles needs the toggle instants of modulate_ideal")
     grid = CYCLES_PER_TOGGLE / fosc_hz
-
-    if w.toggle_instants is not None:
-        instants = np.asarray(w.toggle_instants, dtype=np.float64)
-        initial = int(w.samples[0]) if len(w.samples) else 1
-        tol = 0.0
-    else:
-        instants, initial = _edges_from_samples(w)
-        tol = 1.5 / w.fs_hz  # edge positions are only known to one sample
+    instants = np.asarray(w.toggle_instants, dtype=np.float64)
+    initial = int(w.samples[0]) if len(w.samples) else 1
 
     if len(instants) > 1:
         min_sep = float(np.min(np.diff(instants)))
-        if min_sep < grid - tol - 1e-15:
+        if min_sep < grid - 1e-15:
             raise ConfigurationError(
                 f"bandwidth infeasible: shortest half-period {min_sep:.3e} s is below "
                 f"the 8-clock-cycle minimum (toggle grid {grid:.3e} s)"

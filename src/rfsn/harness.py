@@ -23,6 +23,19 @@ SWEEP_AXES = {
 }
 TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 
+# Symbols per Monte-Carlo batch in BerEngine.run.  A seeded result depends on
+# it, so it stays fixed until the engine draws seed-stable chunks.
+ENGINE_BATCH = 4096
+
+# Composite-gain bracket (dB) searched by calibrate_composite_gain.
+CALIBRATION_BRACKET_DB = (-40.0, 120.0)
+
+# Measured passive cold start fitted by fit_passive_efficiency_scale: the
+# 22 uF storage cap reaches V_MIN in 0.9 s at -2.3 dBm incident power.
+PASSIVE_ANCHOR_PR_DBM = -2.3
+PASSIVE_ANCHOR_TIME_S = 0.9
+PASSIVE_ANCHOR_DT_S = 5e-4
+
 
 @dataclass
 class ExperimentConfig:
@@ -35,7 +48,6 @@ class ExperimentConfig:
     eirp_dbm: float = 22.1
     n0_w_per_hz: float = 1.0
     composite_gain_db: float = 0.0
-    detection_fraction: float = rxdsp.PAPER_DETECTION_FRACTION
     template: str = "square-quantized"
     sweep_axis: str = "eirp_dbm"
     sweep_values: list[float] = field(default_factory=lambda: [22.1, 23.0, 24.0, 25.0])
@@ -93,8 +105,6 @@ class ExperimentConfig:
             problems.append("sweep_values is empty")
         if self.n_symbols < 1:
             problems.append(f"n_symbols={self.n_symbols} must be >= 1")
-        if not 0.0 < self.detection_fraction <= 1.0:
-            problems.append(f"detection_fraction={self.detection_fraction} outside (0, 1]")
         if self.charge_variant not in ("passive", "active"):
             problems.append(f"charge_variant={self.charge_variant!r} not passive/active")
         if not 0 < self.dt_s <= 1e-3:
@@ -228,17 +238,15 @@ class BerEngine:
         n_symbols: int,
         seed: int,
         bursts: channel.WBurstModel | None = None,
-        batch: int = 4096,
     ) -> rxdsp.BerResult:
         p = self.p
-        m = p.samples_per_symbol
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
         rng = np.random.default_rng(seed)
-        sym_err = bit_err = 0
-        done = 0
+        sent = np.empty(n_symbols, dtype=np.int64)
+        detected = np.empty(n_symbols, dtype=np.int64)
         noise = channel.NoiseModel(n0_w_per_hz)
-        while done < n_symbols:
-            nb = min(batch, n_symbols - done)
+        for start in range(0, n_symbols, ENGINE_BATCH):
+            nb = min(ENGINE_BATCH, n_symbols - start)
             tx = rng.integers(0, p.n_bins, size=nb)
             x = amp * self.templates[tx]
             if bursts is not None and bursts.amplitude_scale > 0:
@@ -249,20 +257,9 @@ class BerEngine:
             y = noise.add(x, p.fs_hz, rng)
             y = y - y.mean(axis=1, keepdims=True)
             mags = np.abs(rxdsp.dechirp_bins(y, p))
-            det = np.argmax(mags, axis=1)
-            sym_err += int(np.count_nonzero(det != tx))
-            bit_err += rxdsp.bit_errors(tx, det, p.sf)
-            done += nb
-        nbits = n_symbols * p.sf
-        return rxdsp.BerResult(
-            n_symbols=n_symbols,
-            n_bits=nbits,
-            n_symbol_errors=sym_err,
-            n_bit_errors=bit_err,
-            ser=sym_err / n_symbols,
-            ber=bit_err / nbits,
-            wilson_95_halfwidth=rxdsp.wilson_halfwidth(bit_err, nbits),
-        )
+            sent[start : start + nb] = tx
+            detected[start : start + nb] = np.argmax(mags, axis=1)
+        return rxdsp.score(sent, detected, p.sf)
 
 
 def _engine_params(cfg: ExperimentConfig, fosc_hz: float | None = None) -> chirp.ChirpParams:
@@ -275,7 +272,7 @@ def _engine_params(cfg: ExperimentConfig, fosc_hz: float | None = None) -> chirp
 class SweepRow:
     """One Monte-Carlo point of a BER sweep.
 
-    `snr_db` and `theory_pb` use `cfg.detection_fraction` (default 0.712, the
+    `snr_db` and `theory_pb` use `rxdsp.PAPER_DETECTION_FRACTION` (0.712, the
     square-chirp capture) for every template; the engine's own capture is not
     used.  For the complex template, which captures ~0.994, they understate
     the SNR: in the one-anchor calibrated sweep at 13.5 cm, `theory_pb` reads
@@ -297,10 +294,10 @@ class SweepRow:
     runtime_s: float
 
 
-def run_ber_sweep(cfg: ExperimentConfig, table: channel.IncidentPowerTable | None = None) -> list[SweepRow]:
+def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Monte-Carlo BER across the configured sweep axis, one seeded row per point."""
     cfg.validate()
-    table = table or channel.IncidentPowerTable.default()
+    table = channel.IncidentPowerTable.default()
     burst_model = cfg.burst_model()
     bursts = burst_model if cfg.bursts_enabled else None
     point = SWEEP_AXES[cfg.sweep_axis]
@@ -313,7 +310,7 @@ def run_ber_sweep(cfg: ExperimentConfig, table: channel.IncidentPowerTable | Non
         eng = engines[fosc]
         p = eng.p
         ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
-        snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz, cfg.detection_fraction)
+        snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz)
         t0 = time.perf_counter()
         res = eng.run(ps_w, cfg.n0_w_per_hz, cfg.n_symbols, cfg.base_seed + idx, bursts)
         rows.append(
@@ -368,35 +365,31 @@ def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
     return rows
 
 
-def fit_passive_efficiency_scale(
-    anchor_pr_dbm: float = -2.3,
-    anchor_time_s: float = 0.9,
-    capacitance_f: float = powersim.DEFAULT_PASSIVE_CAP_F,
-    target_v: float = powersim.V_MIN,
-    dt_s: float = 5e-4,
-) -> float:
+def fit_passive_efficiency_scale() -> float:
     """One-point calibration of the passive harvester efficiency scale.
 
-    Bisects the multiplicative scale so the sim charges the storage cap to the
-    target in exactly the measured anchor time.
+    Bisects the multiplicative scale so the sim charges the passive storage
+    cap to V_MIN at PASSIVE_ANCHOR_PR_DBM in exactly PASSIVE_ANCHOR_TIME_S.
     """
     base = powersim.HarvesterModel.default_passive()
     leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep")
 
     def t_of(scale: float) -> float:
-        c = powersim.Capacitor(capacitance_f)
+        c = powersim.Capacitor(powersim.DEFAULT_PASSIVE_CAP_F)
+        h = base.with_scale(scale)
         return powersim.time_to_voltage(
-            c, target_v, anchor_pr_dbm, base.with_scale(scale), leak, dt_s
+            c, powersim.V_MIN, PASSIVE_ANCHOR_PR_DBM, h, leak, PASSIVE_ANCHOR_DT_S
         )
 
     lo, hi = 0.01, 1.0
-    if not (t_of(hi) <= anchor_time_s <= t_of(lo)):
+    if not (t_of(hi) <= PASSIVE_ANCHOR_TIME_S <= t_of(lo)):
         raise CalibrationError(
-            f"anchor ({anchor_pr_dbm} dBm -> {anchor_time_s} s) unreachable with scale in [{lo}, {hi}]"
+            f"anchor ({PASSIVE_ANCHOR_PR_DBM} dBm -> {PASSIVE_ANCHOR_TIME_S} s) "
+            f"unreachable with scale in [{lo}, {hi}]"
         )
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if t_of(mid) > anchor_time_s:
+        if t_of(mid) > PASSIVE_ANCHOR_TIME_S:
             lo = mid
         else:
             hi = mid
@@ -417,7 +410,7 @@ class TheoryRow:
 TABLE_CLOCKS_HZ = (32768.0, 1e6, 2e6, 4e6)
 
 
-def run_theory_report(cfg: ExperimentConfig, clocks_hz=TABLE_CLOCKS_HZ) -> list[TheoryRow]:
+def run_theory_report(cfg: ExperimentConfig) -> list[TheoryRow]:
     """Closed-form timing, rate, SNR, BER and burst-hit rate per oscillator clock."""
     cfg.validate()
     table = channel.IncidentPowerTable.default()
@@ -425,9 +418,9 @@ def run_theory_report(cfg: ExperimentConfig, clocks_hz=TABLE_CLOCKS_HZ) -> list[
     ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
     burst_model = cfg.burst_model()
     rows = []
-    for fosc in clocks_hz:
+    for fosc in TABLE_CLOCKS_HZ:
         p = chirp.derive_params(cfg.sf, fosc)
-        snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz, cfg.detection_fraction)
+        snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz)
         rows.append(
             TheoryRow(
                 fosc_hz=fosc,
@@ -451,27 +444,22 @@ class CalibrationResult:
     n_symbols: int
 
 
-def calibrate_composite_gain(
-    cfg: ExperimentConfig,
-    table: channel.IncidentPowerTable | None = None,
-    lo_db: float = -40.0,
-    hi_db: float = 120.0,
-) -> CalibrationResult:
+def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     """Fit the one free link-budget gain so MC BER matches the anchor point.
 
-    Bisection on the composite gain; BER is monotone decreasing in gain.  Stops
-    when the achieved BER sits inside the anchor's Wilson band or the bracket
-    closes below 0.02 dB.
+    Bisection on the composite gain over CALIBRATION_BRACKET_DB; BER is
+    monotone decreasing in gain.  Stops when the achieved BER sits inside the
+    anchor's Wilson band or the bracket closes below 0.02 dB.
     """
     cfg.validate()
     if not 1e-4 < cfg.anchor_ber < 0.4:
         raise CalibrationError(
             f"anchor BER {cfg.anchor_ber} outside the calibratable range (1e-4, 0.4)"
         )
-    table = table or channel.IncidentPowerTable.default()
-    pr = table.incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
+    pr = channel.IncidentPowerTable.default().incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
     eng = BerEngine(_engine_params(cfg), cfg.template)
     n = cfg.n_symbols_calibration
+    lo_db, hi_db = CALIBRATION_BRACKET_DB
 
     def ber_at(gain_db: float, seed_salt: int) -> float:
         ps = channel.dbm_to_w(pr + gain_db)

@@ -29,6 +29,13 @@ PASSIVE_OP_POWER_W = 8.1e-6  # headline operating power of the backscatter node
 DEFAULT_ACTIVE_CAP_F = 1e-3
 DEFAULT_PASSIVE_CAP_F = 22e-6
 
+# time_to_voltage declares a target unreachable after this many consecutive
+# Euler steps without an energy gain.
+STALL_STEPS = 1000
+
+# Incident-power range (dBm) searched by min_startup_incident_power.
+STARTUP_SEARCH_DBM = (-60.0, 40.0)
+
 
 @dataclass(frozen=True)
 class Capacitor:
@@ -90,15 +97,6 @@ def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
-def _load_xy_csv(path) -> list[tuple[float, float]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != 2:
-            raise ConfigurationError(f"expected a two-column curve CSV, got header {header}")
-        return [(float(a), float(b)) for a, b in reader]
-
-
 @dataclass(frozen=True)
 class HarvesterModel:
     """RF-to-DC conversion: piecewise-linear efficiency vs incident power (dBm).
@@ -143,10 +141,6 @@ class HarvesterModel:
             ),
             -8.5,
         )
-
-    @classmethod
-    def from_csv(cls, path, sensitivity_dbm: float = -math.inf, scale: float = 1.0) -> "HarvesterModel":
-        return cls(tuple(_load_xy_csv(path)), sensitivity_dbm, scale)
 
     def with_scale(self, scale: float) -> "HarvesterModel":
         return HarvesterModel(self.efficiency_points, self.sensitivity_dbm, scale)
@@ -204,10 +198,6 @@ class LeakageCurve:
     def constant(cls, power_w: float, variant: str = "constant") -> "LeakageCurve":
         return cls(((0.0, power_w),), variant)
 
-    @classmethod
-    def from_csv(cls, path, variant: str = "custom") -> "LeakageCurve":
-        return cls(tuple(_load_xy_csv(path)), variant)
-
     def power_w(self, v_volts: float) -> float:
         # np.exp, not math.exp: the two differ in the last bit for some inputs
         return float(np.exp(_interp(v_volts, self._volts, self._log_powers)))
@@ -224,11 +214,10 @@ def time_to_voltage(
     harvester: HarvesterModel,
     leakage: LeakageCurve,
     dt_s: float = 1e-3,
-    stall_steps: int = 1000,
 ) -> float:
     """Seconds to charge to v_target at constant incident power; inf if never.
 
-    Forward-Euler on stored energy with dt <= 1 ms.  A run of ``stall_steps``
+    Forward-Euler on stored energy with dt <= 1 ms.  A run of STALL_STEPS
     consecutive steps with no energy gain declares the target unreachable.
     """
     if dt_s > 1e-3 or dt_s <= 0:
@@ -242,7 +231,7 @@ def time_to_voltage(
     while v < v_target:
         e_next = euler_step(e, p_in, leakage.power_w(v), dt_s)[0]
         stalled = stalled + 1 if e_next <= e else 0
-        if stalled >= stall_steps:
+        if stalled >= STALL_STEPS:
             return math.inf
         e = e_next
         v = math.sqrt(2.0 * e / cap)  # as Capacitor.v_volts
@@ -250,18 +239,13 @@ def time_to_voltage(
     return t
 
 
-def min_startup_incident_power(
-    leak: LeakageCurve,
-    h: HarvesterModel,
-    v_target: float = V_MIN,
-    lo_dbm: float = -60.0,
-    hi_dbm: float = 40.0,
-) -> float:
-    """Smallest incident power whose harvest beats leakage everywhere below v_target.
+def min_startup_incident_power(leak: LeakageCurve, h: HarvesterModel) -> float:
+    """Smallest incident power whose harvest beats leakage everywhere below V_MIN.
 
-    Returns math.inf when no power level in the search range suffices.
+    Returns math.inf when no power level in STARTUP_SEARCH_DBM suffices.
     """
-    need = leak.max_power_below(v_target)
+    need = leak.max_power_below(V_MIN)
+    lo_dbm, hi_dbm = STARTUP_SEARCH_DBM
     if h.harvested_power_w(hi_dbm) <= need:
         return math.inf
     for _ in range(60):
@@ -315,7 +299,9 @@ class SimTrace:
             self.harvested_j - self.consumed_j
         )
 
-    def to_csv(self, path, msdu_bytes: int = MSDU_BYTES) -> None:
+    def to_csv(self, path) -> None:
+        # every packet of one run carries the same MSDU
+        packet_bytes = self.bytes_sent // self.packets_sent if self.packets_sent else 0
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t_s", "event", "v", "packets_cum", "bytes_cum"])
@@ -323,7 +309,7 @@ class SimTrace:
             for t, kind, v in self.events:
                 if kind == "packet":
                     packets += 1
-                w.writerow([repr(t), kind, repr(v), packets, packets * msdu_bytes])
+                w.writerow([repr(t), kind, repr(v), packets, packets * packet_bytes])
 
 
 COLD, BOOTING, TRANSMITTING, SLEEPING, DEAD = "cold", "booting", "transmitting", "sleeping", "dead"

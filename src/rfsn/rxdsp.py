@@ -17,6 +17,9 @@ from .waveform import Waveform
 # share of an ideal square wave discounted by the folded-image split.
 PAPER_DETECTION_FRACTION = 0.712
 
+# Two-sided 95% standard-normal quantile of the Wilson interval.
+WILSON_Z95 = 1.959963984540054
+
 # Peak-to-mean ratio below which the dechirp output is flagged as noise only.
 NO_SIGNAL_PEAK_TO_MEAN = 2.0
 
@@ -163,7 +166,7 @@ class BerResult:
     wilson_95_halfwidth: float
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score 95% confidence interval for a binomial proportion.
 
     The bounds are exactly 0 at k = 0 and exactly 1 at k = n, where
@@ -172,10 +175,10 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     if n <= 0:
         return 0.0, 1.0
     phat = k / n
-    z2 = z * z
+    z2 = WILSON_Z95 * WILSON_Z95
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n)) / denom
+    half = WILSON_Z95 * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n)) / denom
     lo = 0.0 if k == 0 else max(0.0, center - half)
     hi = 1.0 if k == n else min(1.0, center + half)
     return lo, hi

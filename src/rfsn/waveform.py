@@ -7,7 +7,6 @@ little-endian f32.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,8 +29,7 @@ class Waveform:
     """Sampled signal: a binary backscatter envelope or a post-channel analog trace.
 
     ``toggle_instants`` optionally carries the exact continuous-time transition
-    instants the envelope was rendered from; the clock quantizer uses them when
-    available instead of re-estimating edges from samples.
+    instants the envelope was rendered from; the clock quantizer needs them.
     """
 
     samples: np.ndarray
@@ -148,6 +146,3 @@ class Waveform:
     def load(cls, path: str) -> "Waveform":
         with open(path, "rb") as f:
             return cls.from_bytes(f.read())
-
-    def to_buffer(self) -> io.BytesIO:
-        return io.BytesIO(self.to_bytes())

@@ -54,10 +54,6 @@ def test_table_monotone_in_eirp():
         assert all(b > a for a, b in zip(col, col[1:]))
 
 
-def test_module_level_incident_power_wrapper():
-    assert channel.incident_power(23.6, 13.5) == pytest.approx(-7.3)
-
-
 # --------------------------------------------------------------- attenuation
 
 def test_propagation_loss_defaults():

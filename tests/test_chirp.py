@@ -7,6 +7,7 @@ import pytest
 
 from rfsn import chirp, harness
 from rfsn.errors import ConfigurationError
+from rfsn.waveform import Waveform
 
 
 def test_derive_params_timing_closed_form():
@@ -150,6 +151,14 @@ def test_quantize_with_too_slow_clock_is_infeasible():
     w = chirp.modulate_ideal([64], p)
     with pytest.raises(ConfigurationError, match="bandwidth infeasible"):
         chirp.quantize_toggles(w, p.fosc_hz / 4)
+
+
+def test_quantize_needs_the_toggle_instants_of_modulate_ideal():
+    # a decoded waveform keeps its samples but not the exact toggle instants
+    p = chirp.derive_params(7, 32768, fs_hz=32768)
+    w = chirp.modulate_ideal([9, 80], p)
+    with pytest.raises(ConfigurationError, match="toggle instants"):
+        chirp.quantize_toggles(Waveform.from_bytes(w.to_bytes()), p.fosc_hz)
 
 
 def test_spectrum_satisfies_parseval():

@@ -200,3 +200,28 @@ def test_charge_sweep_text_is_pinned(capsys):
             capsys, "charge-sweep", "--config", str(CONFIGS / "charge_sweep.cfg"), "--format", fmt
         )
         assert (code, out) == (0, want)
+
+
+# `snr_db` and `pb` use rxdsp.PAPER_DETECTION_FRACTION (0.712) for every clock.
+THEORY_CSV = """fosc_hz,bw_hz,ds_s,rd_bps,snr_db,pb,interference_es
+32768.0,4096.0,0.03125,224.0,-76.68328230192986,0.49975174816773477,0.0625
+1000000.0,125000.0,0.001024,6835.9375,-91.52878295233268,0.4997534375969617,0.006144
+2000000.0,250000.0,0.000512,13671.875,-94.53908290897249,0.4997535465998456,0.006144
+4000000.0,500000.0,0.000256,27343.75,-97.5493828656123,0.49975362364959214,0.006144
+"""
+
+
+def test_theory_text_is_pinned(capsys):
+    code, out = run_cli(capsys, "theory", "--config", str(CONFIGS / "theory_report.cfg"))
+    assert (code, out) == (0, THEORY_CSV)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+@pytest.mark.parametrize("command", ["theory", "charge-sweep"])
+def test_shipped_configs_keep_the_exit_contract(command, config, capsys):
+    code = main([command, "--config", str(CONFIGS / config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -227,15 +227,24 @@ def test_fsm_dies_without_power():
 
 
 def test_trace_csv(tmp_path):
-    tr = _run_default()
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_s,event,v,packets_cum,bytes_cum"
-    assert len(lines) == len(tr.events) + 1
-    last = lines[-1].split(",")
-    assert int(last[3]) == tr.packets_sent
-    assert int(last[4]) == tr.bytes_sent
+    small = powersim.run_active_fsm(
+        powersim.ActiveNodeFSM(msdu_bytes=50),
+        powersim.Capacitor(1e-3),
+        10.0,
+        powersim.HarvesterModel.default_active(),
+        powersim.LeakageCurve.default_with_startup(),
+        duration_s=20.0,
+    )
+    for tr in (_run_default(), small):
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t_s,event,v,packets_cum,bytes_cum"
+        assert len(lines) == len(tr.events) + 1
+        last = lines[-1].split(",")
+        assert int(last[3]) == tr.packets_sent
+        assert int(last[4]) == tr.bytes_sent
+    assert small.bytes_sent == 50 * small.packets_sent > 0
 
 
 # ------------------------------------------------------------- passive budget

@@ -76,8 +76,3 @@ def test_complex_samples_cannot_serialize():
         w.to_bytes()
     with pytest.raises(ConfigurationError):
         w.to_csv(io.StringIO())
-
-
-def test_to_buffer_matches_to_bytes():
-    w = _binary_wave()
-    assert w.to_buffer().getvalue() == w.to_bytes()
