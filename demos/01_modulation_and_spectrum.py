@@ -26,7 +26,7 @@ print("\nideal waveform: %d samples at %.0f kHz, levels %s"
 
 # The same symbol through the clocked toggle generator: every edge lands on
 # the 4-cycle oscillator grid, which costs a little spectral purity.
-wq = chirp.modulate_quantized([42], p, jitter_cycles=0.0, seed=0)
+wq = chirp.modulate_quantized([42], p)
 mismatch = np.mean(w.samples != wq.samples)
 print("quantized-vs-ideal sample mismatch: %.3f" % mismatch)
 

@@ -11,7 +11,6 @@ Run with:  python3 demos/04_bandwidth_vs_bursts.py   (about a minute)
 from rfsn import channel, chirp, harness
 
 cfg = harness.ExperimentConfig(
-    scenario="ber-sweep",
     sf=7,
     template="complex",
     sweep_axis="bandwidth_hz",

@@ -1,17 +1,11 @@
 """Physical-layer and energy-budget simulator for concrete-embedded backscatter nodes."""
 
 from .channel import (
-    AttenuationModel,
     IncidentPowerTable,
     NoiseModel,
     WBurstModel,
-    add_awgn,
-    apply_gain,
-    inject_w_bursts,
     interference_symbol_error_rate,
     permittivity_from_shift,
-    propagation_loss,
-    resonant_shift,
 )
 from .chirp import (
     ChirpParams,
@@ -34,7 +28,6 @@ from .harness import (
     run_ber_sweep,
     run_charge_sweep,
     run_theory_report,
-    serialize_config,
 )
 from .powersim import (
     ActiveNodeFSM,
@@ -51,9 +44,7 @@ from .powersim import (
 )
 from .rxdsp import (
     BerResult,
-    DechirpOutput,
     ber_theory,
-    dechirp,
     demodulate_stream,
     effective_snr,
     qfunc,

@@ -1,4 +1,4 @@
-"""Through-concrete channel: measured power table, attenuation, noise, bursts."""
+"""Through-concrete channel: measured power table, noise, bursts."""
 
 from __future__ import annotations
 
@@ -10,13 +10,6 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError
-from .waveform import KIND_ANALOG, Waveform
-
-# Two-way field attenuation through cured concrete at 915 MHz, plus the fixed
-# air/concrete interface penalty (both directions combined).
-ATTEN_DRY_DB_PER_CM = 2.2
-ATTEN_WET_DB_PER_CM = 3.0
-INTERFACE_LOSS_DB = 11.0
 
 # Periodic wideband interference defaults: one burst every 0.5 s lasting 3 ms.
 W_BURST_PERIOD_S = 0.5
@@ -90,45 +83,9 @@ class IncidentPowerTable:
         )
 
 
-@dataclass(frozen=True)
-class AttenuationModel:
-    """Analytic one-way field attenuation through the concrete cover."""
-
-    alpha_dry_db_per_cm: float = ATTEN_DRY_DB_PER_CM
-    alpha_wet_db_per_cm: float = ATTEN_WET_DB_PER_CM
-    interface_loss_db: float = INTERFACE_LOSS_DB
-
-    def __post_init__(self) -> None:
-        if self.alpha_dry_db_per_cm <= 0 or self.alpha_wet_db_per_cm <= 0:
-            raise ConfigurationError("attenuation coefficients must be positive")
-        if self.interface_loss_db < 0:
-            raise ConfigurationError("interface loss cannot be negative")
-
-    def alpha(self, moisture: str) -> float:
-        if moisture not in ("dry", "wet"):
-            raise ConfigurationError(f"moisture must be 'dry' or 'wet', got {moisture!r}")
-        return self.alpha_dry_db_per_cm if moisture == "dry" else self.alpha_wet_db_per_cm
-
-
-def propagation_loss(
-    depth_cm: float, moisture: str = "dry", m: AttenuationModel | None = None
-) -> float:
-    """Interface loss plus per-cm attenuation over the burial depth (dB)."""
-    m = m or AttenuationModel()
-    if depth_cm < 0:
-        raise ConfigurationError(f"depth must be non-negative, got {depth_cm}")
-    return m.interface_loss_db + m.alpha(moisture) * depth_cm
-
-
-def resonant_shift(f_air_hz: float, eps_r: float) -> float:
-    """Resonant frequency of an air-tuned antenna once embedded in a dielectric."""
-    if eps_r < 1.0:
-        raise ConfigurationError(f"relative permittivity must be >= 1, got {eps_r}")
-    return f_air_hz / math.sqrt(eps_r)
-
-
 def permittivity_from_shift(f_air_hz: float, f_embedded_hz: float) -> float:
-    """Invert the resonance shift for the medium's relative permittivity."""
+    """Relative permittivity of the medium that shifts an air-tuned antenna's
+    resonance from f_air to f_embedded = f_air / sqrt(eps_r)."""
     if not 0 < f_embedded_hz <= f_air_hz:
         raise ConfigurationError("embedded resonance must lie in (0, f_air]")
     return (f_air_hz / f_embedded_hz) ** 2
@@ -142,12 +99,6 @@ def dbm_to_w(power_dbm: float) -> float:
         raise ConfigurationError(f"{power_dbm} dBm is too large to express in watts") from None
 
 
-def apply_gain(w: Waveform, gain_db: float) -> Waveform:
-    """Scale the waveform by a power gain in dB (result is analog)."""
-    scale = 10.0 ** (gain_db / 20.0)
-    return Waveform(np.asarray(w.samples) * scale, w.fs_hz, KIND_ANALOG)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive white Gaussian noise with one-sided density n0 (W/Hz).
@@ -159,7 +110,6 @@ class NoiseModel:
     """
 
     n0_w_per_hz: float
-    seed: int = 0
 
     def add(self, samples: np.ndarray, fs_hz: float, rng: np.random.Generator) -> np.ndarray:
         if self.n0_w_per_hz < 0:
@@ -171,15 +121,6 @@ class NoiseModel:
                 rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
             )
         return samples + math.sqrt(var) * rng.standard_normal(samples.shape)
-
-
-def add_awgn(w: Waveform, n: NoiseModel) -> Waveform:
-    """Seeded AWGN; identical (waveform, model) inputs give identical output."""
-    rng = np.random.default_rng(n.seed)
-    samples = np.asarray(w.samples)
-    if not np.iscomplexobj(samples):
-        samples = samples.astype(np.float64)
-    return Waveform(n.add(samples, w.fs_hz, rng), w.fs_hz, KIND_ANALOG)
 
 
 # Default envelope of one wideband burst: knots evenly spaced over a unit
@@ -209,7 +150,6 @@ class WBurstModel:
     mean_interval_s: float = W_BURST_PERIOD_S
     duration_s: float = W_BURST_DURATION_S
     amplitude_scale: float = W_BURST_AMPLITUDE_SCALE
-    seed: int = 0
     envelope: tuple[float, ...] = W_BURST_ENVELOPE
 
     def __post_init__(self) -> None:
@@ -258,20 +198,6 @@ def add_w_bursts(
             if i < len(x):
                 x[i:j] += template[: j - i]
     return arrivals
-
-
-def inject_w_bursts(w: Waveform, m: WBurstModel) -> tuple[Waveform, list[tuple[float, float]]]:
-    """Add seeded interference bursts; returns (waveform, [(start_s, duration_s)]).
-
-    The burst log is returned even at amplitude_scale = 0 so scorers can
-    always identify ground-truth hit windows.
-    """
-    if len(w.samples) == 0:
-        raise ConfigurationError("cannot inject bursts into an empty waveform")
-    x = np.asarray(w.samples, dtype=np.float64).copy()
-    rms = float(np.sqrt(np.mean(x**2))) or 1.0
-    arrivals = add_w_bursts(x, m, w.duration_s, w.fs_hz, rms, np.random.default_rng(m.seed))
-    return Waveform(x, w.fs_hz, KIND_ANALOG), [(float(t0), m.duration_s) for t0 in arrivals]
 
 
 def interference_symbol_error_rate(ds_s: float, m: WBurstModel | None = None) -> float:

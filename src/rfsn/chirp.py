@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,14 +65,6 @@ class ChirpParams:
     def rd_bps(self) -> float:
         """Data rate bw * sf / 2^sf."""
         return self.bw_hz * self.sf / self.n_bins
-
-    @property
-    def ds_exact(self) -> Fraction:
-        return Fraction(self.n_bins) / Fraction(self.bw_hz)
-
-    @property
-    def rd_exact(self) -> Fraction:
-        return Fraction(self.bw_hz) * self.sf / self.n_bins
 
     @property
     def samples_per_symbol(self) -> int:
@@ -236,19 +227,13 @@ def modulate_ideal(symbols, p: ChirpParams) -> Waveform:
     return Waveform(samples, p.fs_hz, KIND_BINARY, toggle_instants=instants)
 
 
-def quantize_toggles(
-    w: Waveform,
-    fosc_hz: float,
-    jitter_cycles: int = 0,
-    seed: int | None = None,
-) -> Waveform:
+def quantize_toggles(w: Waveform, fosc_hz: float) -> Waveform:
     """Snap every envelope transition to the next instruction-cycle grid point.
 
     The MCU can only act on or after the scheduled cycle, so instants round
     upward to multiples of 4/fosc and keep at least one grid step between
-    consecutive transitions.  ``jitter_cycles`` optionally adds uniform integer
-    instruction-cycle jitter (off by default).  ``w`` must come from
-    modulate_ideal, which records the exact toggle instants the quantizer snaps.
+    consecutive transitions.  ``w`` must come from modulate_ideal, which
+    records the exact toggle instants the quantizer snaps.
     """
     if w.kind != KIND_BINARY:
         raise ConfigurationError("quantize_toggles needs a binary-envelope waveform")
@@ -267,13 +252,6 @@ def quantize_toggles(
             )
 
     snapped = np.ceil(instants / grid - 1e-9) * grid
-    if jitter_cycles:
-        rng = np.random.default_rng(seed)
-        snapped = snapped + grid * rng.integers(
-            -jitter_cycles, jitter_cycles + 1, size=len(snapped)
-        )
-        snapped = np.maximum(snapped, 0.0)
-        snapped.sort()
     # enforce >= one grid step between consecutive toggles, preserving order
     if len(snapped) > 1:
         shifted = snapped - np.arange(len(snapped)) * grid
@@ -282,13 +260,13 @@ def quantize_toggles(
     return Waveform(samples, w.fs_hz, KIND_BINARY, toggle_instants=snapped)
 
 
-def modulate_quantized(symbols, p: ChirpParams, jitter_cycles: int = 0, seed: int | None = None) -> Waveform:
+def modulate_quantized(symbols, p: ChirpParams) -> Waveform:
     """Convenience: modulate_ideal followed by quantize_toggles at p.fosc_hz."""
     if p.fs_hz < p.fosc_hz * (1 - 1e-12):
         raise ConfigurationError(
             f"quantized synthesis needs fs >= fosc ({p.fs_hz} < {p.fosc_hz})"
         )
-    return quantize_toggles(modulate_ideal(symbols, p), p.fosc_hz, jitter_cycles, seed)
+    return quantize_toggles(modulate_ideal(symbols, p), p.fosc_hz)
 
 
 @dataclass
@@ -298,9 +276,6 @@ class PowerSpectrum:
     freqs_hz: np.ndarray
     psd: np.ndarray
     total_power: float
-
-    def peak_frequency(self) -> float:
-        return float(self.freqs_hz[int(np.argmax(self.psd))])
 
 
 def spectrum(w: Waveform) -> PowerSpectrum:

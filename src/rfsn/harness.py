@@ -39,9 +39,8 @@ PASSIVE_ANCHOR_DT_S = 5e-4
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description, round-trippable through `key = value` files."""
+    """Flat experiment description, read from `key = value` files."""
 
-    scenario: str = "ber-sweep"
     sf: int = 7
     fosc_hz: float = 32768.0
     depth_cm: float = 13.5
@@ -170,16 +169,6 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, list):
-            v = ",".join(repr(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:
@@ -354,11 +343,24 @@ def charge_models(cfg: ExperimentConfig) -> tuple[powersim.HarvesterModel, power
 
 
 def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
-    """Charge time to target voltage at each swept incident power level."""
+    """Charge time to target voltage at the incident power of each sweep point.
+
+    Sweep values are read along the configured axis as in run_ber_sweep, so
+    EIRP and depth points go through the measured table.  The bandwidth axis
+    leaves the incident power fixed and is rejected.
+    """
     cfg.validate()
+    if cfg.sweep_axis == "bandwidth_hz":
+        raise ConfigurationError(
+            "sweep_axis='bandwidth_hz' leaves the incident power unchanged, "
+            "so it cannot drive a charge sweep"
+        )
+    table = channel.IncidentPowerTable.default()
+    point = SWEEP_AXES[cfg.sweep_axis]
     harvester, leakage = charge_models(cfg)
     rows = []
-    for pr in cfg.sweep_values:
+    for value in cfg.sweep_values:
+        _, pr = point(cfg, table, value)
         c = powersim.Capacitor(cfg.capacitance_f)
         t = powersim.time_to_voltage(c, cfg.target_v, pr, harvester, leakage, cfg.dt_s)
         rows.append(ChargeRow(pr, cfg.charge_variant, cfg.capacitance_f, cfg.target_v, t))

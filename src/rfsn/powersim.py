@@ -24,7 +24,6 @@ MSDU_BYTES = 105
 PACKET_TIME_S = 1e-3
 
 P_SLEEP_W = 36e-9  # deep-sleep draw of the passive (backscatter) node
-PASSIVE_OP_POWER_W = 8.1e-6  # headline operating power of the backscatter node
 
 DEFAULT_ACTIVE_CAP_F = 1e-3
 DEFAULT_PASSIVE_CAP_F = 22e-6

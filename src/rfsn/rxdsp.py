@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,9 +19,6 @@ PAPER_DETECTION_FRACTION = 0.712
 
 # Two-sided 95% standard-normal quantile of the Wilson interval.
 WILSON_Z95 = 1.959963984540054
-
-# Peak-to-mean ratio below which the dechirp output is flagged as noise only.
-NO_SIGNAL_PEAK_TO_MEAN = 2.0
 
 
 def qfunc(x) -> np.ndarray | float:
@@ -95,41 +92,12 @@ def dechirp_bins(x: np.ndarray, p: ChirpParams) -> np.ndarray:
     return spec[..., :n] + spec[..., m - n : m]
 
 
-@dataclass
-class DechirpOutput:
-    """Result of demodulating one symbol."""
-
-    detected: int
-    bin_magnitudes: np.ndarray
-    peak_to_mean: float
-    no_signal: bool = field(default=False)
-
-
-def dechirp(w: Waveform, p: ChirpParams, symbol_index: int = 0) -> DechirpOutput:
-    """Demodulate a single symbol from the waveform (mean removed first)."""
-    m = p.samples_per_symbol
-    start = symbol_index * m
-    if len(w.samples) < start + m:
-        raise ConfigurationError("waveform does not contain the requested symbol")
+def demodulate_stream(w: Waveform, p: ChirpParams, n_symbols: int | None = None) -> np.ndarray:
+    """Demodulate n_symbols back-to-back symbols (batched FFT; exact timing assumed)."""
     if abs(w.fs_hz - p.fs_hz) > 1e-6 * p.fs_hz:
         raise ConfigurationError(
             f"waveform rate {w.fs_hz} Hz does not match params fs {p.fs_hz} Hz"
         )
-    x = w.mean_removed()[start : start + m]
-    mags = np.abs(dechirp_bins(x, p))
-    detected = int(np.argmax(mags))  # argmax already breaks ties at lowest index
-    mean = float(np.mean(mags))
-    ptm = float(mags[detected] / mean) if mean > 0 else 0.0
-    return DechirpOutput(
-        detected=detected,
-        bin_magnitudes=mags,
-        peak_to_mean=ptm,
-        no_signal=ptm <= NO_SIGNAL_PEAK_TO_MEAN,
-    )
-
-
-def demodulate_stream(w: Waveform, p: ChirpParams, n_symbols: int | None = None) -> np.ndarray:
-    """Demodulate n_symbols back-to-back symbols (batched FFT; exact timing assumed)."""
     m = p.samples_per_symbol
     if n_symbols is None:
         n_symbols = len(w.samples) // m

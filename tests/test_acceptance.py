@@ -23,7 +23,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_clock_table_regeneration():
     """Timing/rate table for all four oscillator clocks at display precision."""
     t0 = time.perf_counter()
-    rows = harness.run_theory_report(harness.ExperimentConfig(scenario="theory"))
+    rows = harness.run_theory_report(harness.ExperimentConfig())
     elapsed = time.perf_counter() - t0
     # printed table: (bw kHz, symbol time ms, data rate) per clock
     printed = {
@@ -195,7 +195,6 @@ def test_criterion_7_charge_time_brackets():
 @pytest.fixture(scope="module")
 def calibrated_eirp_sweep():
     cfg = harness.ExperimentConfig(
-        scenario="fig12",
         template="complex",
         sweep_axis="eirp_dbm",
         sweep_values=[22.1, 23.0, 24.0, 25.0],
@@ -316,7 +315,6 @@ def test_criterion_8_ber_at_24_dbm_three_percent(calibrated_eirp_sweep):
 
 def test_criterion_9_bandwidth_ordering_under_bursts():
     cfg = harness.ExperimentConfig(
-        scenario="fig13",
         template="complex",
         sweep_axis="bandwidth_hz",
         sweep_values=[4096.0, 125e3, 250e3],

@@ -35,12 +35,6 @@ def test_derive_params_clock_family(fosc, bw, ds_ms, rd_bps):
     assert p.rd_bps == pytest.approx(rd_bps)
 
 
-def test_exact_fractions_agree_with_floats():
-    p = chirp.derive_params(9, 32768)
-    assert float(p.ds_exact) == pytest.approx(p.ds_s)
-    assert float(p.rd_exact) == pytest.approx(p.rd_bps)
-
-
 def test_sf_bounds_rejected():
     with pytest.raises(ConfigurationError):
         chirp.derive_params(4, 32768)
@@ -127,16 +121,6 @@ def test_quantize_snaps_to_clock_grid():
     assert np.allclose(k, np.round(k), atol=1e-6)
     d = np.diff(w.toggle_instants)
     assert d.min() >= g * (1 - 1e-9)
-
-
-def test_quantize_jitter_is_seeded():
-    p = chirp.derive_params(7, 32768, fs_hz=32768)
-    w = chirp.modulate_ideal([9, 80], p)
-    a = chirp.quantize_toggles(w, p.fosc_hz, jitter_cycles=1, seed=3)
-    b = chirp.quantize_toggles(w, p.fosc_hz, jitter_cycles=1, seed=3)
-    c = chirp.quantize_toggles(w, p.fosc_hz, jitter_cycles=1, seed=4)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
 
 
 @pytest.mark.parametrize("sf", [6, 7])

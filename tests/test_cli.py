@@ -69,7 +69,6 @@ def test_theory_json_format(capsys):
 def test_ber_sweep_from_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "scenario = tiny\n"
         "sweep_axis = pr_dbm\n"
         "sweep_values = -95\n"
         "n_symbols = 200\n"
@@ -85,7 +84,7 @@ def test_ber_sweep_from_config(tmp_path, capsys):
 def test_charge_sweep_reports_never(tmp_path, capsys):
     cfg = tmp_path / "charge.cfg"
     cfg.write_text(
-        "scenario = charge\n"
+        "sweep_axis = pr_dbm\n"
         "charge_variant = passive\n"
         "sweep_values = -2.3, -20\n"
     )
@@ -96,9 +95,20 @@ def test_charge_sweep_reports_never(tmp_path, capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("scenario = bad\nsf = 99\n")
+    cfg.write_text("sf = 99\n")
     code, _ = run_cli(capsys, "ber-sweep", "--config", str(cfg))
     assert code == 2
+
+
+def test_demodulate_at_another_rate_than_the_waveform_exits_2(tmp_path, capsys):
+    wav = tmp_path / "w.bin"
+    run_cli(capsys, "modulate", "--sf", "7", "--fosc", "32768", "--fs", "32768",
+            "--symbols", "3,77,127", "--out", str(wav))
+    code = main(["demodulate", "--sf", "7", "--fosc", "32768", "--in", str(wav)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
 
 
 def test_missing_input_file_exits_3(capsys):

@@ -1,6 +1,8 @@
 """Experiment config, Monte-Carlo engine, sweeps, and calibration."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,20 +10,15 @@ import pytest
 from rfsn import channel, chirp, cli, harness, powersim, rxdsp
 from rfsn.errors import CalibrationError, ConfigurationError
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 # -------------------------------------------------------------------- config
-
-def test_parse_serialize_roundtrip():
-    cfg = harness.ExperimentConfig(scenario="demo", sf=8, sweep_values=[1.0, 2.0])
-    back = harness.parse_config(harness.serialize_config(cfg))
-    assert back == cfg
-
 
 def test_parse_config_comments_and_types():
     cfg = harness.parse_config(
         """
         # a comment
-        scenario = test
         sf = 9
         bursts_enabled = true
         sweep_values = 1, 2.5, 3
@@ -34,14 +31,19 @@ def test_parse_config_comments_and_types():
 
 def test_parse_config_unknown_key_rejected():
     with pytest.raises(ConfigurationError):
-        harness.parse_config("scenario=x\nnot_a_key=1\n")
+        harness.parse_config("not_a_key=1\n")
+    # nothing reads a scenario name, so a config may not give one
+    with pytest.raises(ConfigurationError, match="unknown key 'scenario'"):
+        harness.parse_config("scenario = ber-sweep\n")
 
 
 @pytest.mark.parametrize(
     "text, lineno",
     [
-        ("scenario = x\nn0_w_per_hz = nan\n", 2),
-        ("scenario = x\nsf = 7\nsweep_values = nan, 1\n", 3),
+        ("sf = 7\nn0_w_per_hz = nan\n", 2),
+        pytest.param(
+            "template = complex\nsf = 7\nsweep_values = nan, 1\n", 3, id="sweep_values-line-3"
+        ),
         ("eirp_dbm = inf\n", 1),
         ("sweep_values = 1, -inf\n", 1),
         # built in code: only validate() sees these values
@@ -69,9 +71,7 @@ def test_parse_config_rejects_non_finite(text, lineno):
 
 
 def test_validate_collects_all_problems():
-    cfg = harness.ExperimentConfig(
-        scenario="bad", sf=99, template="nope", sweep_axis="sideways"
-    )
+    cfg = harness.ExperimentConfig(sf=99, template="nope", sweep_axis="sideways")
     with pytest.raises(ConfigurationError) as err:
         cfg.validate()
     msg = str(err.value)
@@ -80,7 +80,7 @@ def test_validate_collects_all_problems():
 
 def test_load_config(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("scenario = fromfile\nsf = 6\n")
+    path.write_text("sf = 6\n")
     assert harness.load_config(path).sf == 6
 
 
@@ -137,7 +137,6 @@ def test_engine_bursts_raise_errors_at_high_snr():
 
 def test_ber_sweep_rows_and_determinism():
     cfg = harness.ExperimentConfig(
-        scenario="sweep",
         sweep_axis="pr_dbm",
         sweep_values=[54.0, 56.0],
         n_symbols=1500,
@@ -160,7 +159,6 @@ def test_ber_sweep_rows_and_determinism():
 
 def test_ber_sweep_eirp_axis_uses_power_table():
     cfg = harness.ExperimentConfig(
-        scenario="sweep",
         sweep_axis="eirp_dbm",
         sweep_values=[23.6],
         depth_cm=13.5,
@@ -173,7 +171,7 @@ def test_ber_sweep_eirp_axis_uses_power_table():
 
 def test_charge_sweep_passive_and_never():
     cfg = harness.ExperimentConfig(
-        scenario="charge",
+        sweep_axis="pr_dbm",
         charge_variant="passive",
         sweep_values=[-2.3, -20.0],
         capacitance_f=22e-6,
@@ -182,6 +180,22 @@ def test_charge_sweep_passive_and_never():
     rows = harness.run_charge_sweep(cfg)
     assert rows[0].time_s < math.inf
     assert rows[1].time_s == math.inf
+
+
+def test_charge_sweep_reads_values_along_the_sweep_axis():
+    table = channel.IncidentPowerTable.default()
+    cfg = harness.load_config(CONFIGS / "eirp_ber_sweep.cfg")
+    rows = harness.run_charge_sweep(cfg)
+    assert [r.pr_dbm for r in rows] == [
+        table.incident_power_dbm(v, 13.5) for v in cfg.sweep_values
+    ]
+    cfg = dataclasses.replace(cfg, sweep_axis="depth_cm", sweep_values=[3.5, 13.5])
+    assert [r.pr_dbm for r in harness.run_charge_sweep(cfg)] == [
+        table.incident_power_dbm(cfg.eirp_dbm, d) for d in (3.5, 13.5)
+    ]
+    cfg = harness.load_config(CONFIGS / "bandwidth_bursts.cfg")
+    with pytest.raises(ConfigurationError, match="bandwidth_hz"):
+        harness.run_charge_sweep(cfg)
 
 
 def test_fit_passive_efficiency_scale_hits_anchor():
@@ -195,7 +209,7 @@ def test_fit_passive_efficiency_scale_hits_anchor():
 
 
 def test_theory_report_shape():
-    cfg = harness.ExperimentConfig(scenario="theory", composite_gain_db=0.0)
+    cfg = harness.ExperimentConfig(composite_gain_db=0.0)
     rows = harness.run_theory_report(cfg)
     assert [r.fosc_hz for r in rows] == [32768.0, 1e6, 2e6, 4e6]
     for r in rows:
@@ -210,7 +224,6 @@ def test_theory_report_shape():
 
 def test_calibrate_matches_anchor_ber():
     cfg = harness.ExperimentConfig(
-        scenario="cal",
         anchor_eirp_dbm=22.1,
         anchor_ber=0.162,
         n_symbols_calibration=4000,
@@ -223,6 +236,6 @@ def test_calibrate_matches_anchor_ber():
 
 
 def test_calibrate_rejects_absurd_anchor():
-    cfg = harness.ExperimentConfig(scenario="cal", anchor_ber=0.49)
+    cfg = harness.ExperimentConfig(anchor_ber=0.49)
     with pytest.raises(CalibrationError):
         harness.calibrate_composite_gain(cfg)

@@ -7,7 +7,7 @@ import pytest
 
 from rfsn import chirp, rxdsp
 from rfsn.errors import ConfigurationError
-from rfsn.waveform import KIND_ANALOG, Waveform
+from rfsn.waveform import Waveform
 
 
 def test_qfunc_known_values():
@@ -49,44 +49,19 @@ def _params():
     return chirp.derive_params(7, 32768, fs_hz=32768)
 
 
-def test_dechirp_detects_each_symbol_index():
-    p = _params()
-    syms = [3, 77, 127]
-    w = chirp.modulate_ideal(syms, p)
-    for i, s in enumerate(syms):
-        out = rxdsp.dechirp(w, p, symbol_index=i)
-        assert out.detected == s
-        assert out.no_signal is False
-        assert out.peak_to_mean > rxdsp.NO_SIGNAL_PEAK_TO_MEAN
-        assert len(out.bin_magnitudes) == p.n_bins
-
-
-def test_dechirp_flags_all_zero_input():
-    p = _params()
-    w = Waveform(np.zeros(p.samples_per_symbol), p.fs_hz, KIND_ANALOG)
-    out = rxdsp.dechirp(w, p)
-    assert out.no_signal is True
-    assert out.peak_to_mean <= rxdsp.NO_SIGNAL_PEAK_TO_MEAN
-
-
-def test_dechirp_checks_rate_and_length():
-    p = _params()
-    w = chirp.modulate_ideal([1], p)
-    with pytest.raises(ConfigurationError):
-        rxdsp.dechirp(w, p, symbol_index=1)
-    bad = Waveform(w.samples, 2 * p.fs_hz, w.kind)
-    with pytest.raises(ConfigurationError):
-        rxdsp.dechirp(bad, p)
-
-
 def test_demodulate_stream_counts_and_truncation():
     p = _params()
+    assert np.array_equal(rxdsp.demodulate_stream(chirp.modulate_ideal([3, 77, 127], p), p),
+                          [3, 77, 127])
     syms = np.array([0, 5, 9])
     w = chirp.modulate_ideal(syms, p)
     assert np.array_equal(rxdsp.demodulate_stream(w, p), syms)
     assert np.array_equal(rxdsp.demodulate_stream(w, p, n_symbols=2), syms[:2])
     with pytest.raises(ConfigurationError):
         rxdsp.demodulate_stream(w, p, n_symbols=4)
+    # samples taken at another rate than p.fs_hz
+    with pytest.raises(ConfigurationError, match="does not match params fs"):
+        rxdsp.demodulate_stream(Waveform(w.samples, 2 * p.fs_hz, w.kind), p)
 
 
 def test_bit_errors_matches_popcount_loop():
