@@ -49,19 +49,34 @@ def _params():
     return chirp.derive_params(7, 32768, fs_hz=32768)
 
 
+def test_dechirp_detects_each_symbol_index():
+    p = _params()
+    syms = [3, 77, 127]
+    detected = rxdsp.demodulate_stream(chirp.modulate_ideal(syms, p), p)
+    assert len(detected) == len(syms)
+    for i, s in enumerate(syms):
+        assert detected[i] == s
+
+
+def test_dechirp_checks_rate_and_length():
+    p = _params()
+    w = chirp.modulate_ideal([1], p)
+    with pytest.raises(ConfigurationError):
+        rxdsp.demodulate_stream(w, p, n_symbols=2)
+    # samples taken at another rate than p.fs_hz
+    bad = Waveform(w.samples, 2 * p.fs_hz, w.kind)
+    with pytest.raises(ConfigurationError, match="does not match params fs"):
+        rxdsp.demodulate_stream(bad, p)
+
+
 def test_demodulate_stream_counts_and_truncation():
     p = _params()
-    assert np.array_equal(rxdsp.demodulate_stream(chirp.modulate_ideal([3, 77, 127], p), p),
-                          [3, 77, 127])
     syms = np.array([0, 5, 9])
     w = chirp.modulate_ideal(syms, p)
     assert np.array_equal(rxdsp.demodulate_stream(w, p), syms)
     assert np.array_equal(rxdsp.demodulate_stream(w, p, n_symbols=2), syms[:2])
     with pytest.raises(ConfigurationError):
         rxdsp.demodulate_stream(w, p, n_symbols=4)
-    # samples taken at another rate than p.fs_hz
-    with pytest.raises(ConfigurationError, match="does not match params fs"):
-        rxdsp.demodulate_stream(Waveform(w.samples, 2 * p.fs_hz, w.kind), p)
 
 
 def test_bit_errors_matches_popcount_loop():
