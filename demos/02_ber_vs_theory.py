@@ -3,7 +3,7 @@
 Sweeps signal power over AWGN for the ideal complex chain and prints the
 simulated BER next to the theory curve at the same post-dechirp SNR.
 
-Run with:  python3 demos/02_ber_vs_theory.py   (about half a minute)
+Run with:  python3 demos/02_ber_vs_theory.py   (a few seconds)
 """
 
 from rfsn import chirp, harness, rxdsp

@@ -5,7 +5,7 @@ Wideband bursts (~3 ms every ~0.5 s) wipe out any symbol they overlap. A
 250 kHz chirp ducks between them. This compares the closed-form overlap rate
 with a Monte-Carlo run through the burst injector.
 
-Run with:  python3 demos/04_bandwidth_vs_bursts.py   (about a minute)
+Run with:  python3 demos/04_bandwidth_vs_bursts.py   (a few seconds)
 """
 
 from rfsn import channel, chirp, harness

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -111,10 +112,14 @@ class NoiseModel:
 
     n0_w_per_hz: float
 
-    def add(self, samples: np.ndarray, fs_hz: float, rng: np.random.Generator) -> np.ndarray:
+    def variance(self, fs_hz: float) -> float:
+        """Per-sample noise power n0*fs/2 at sample rate fs_hz."""
         if self.n0_w_per_hz < 0:
             raise ConfigurationError("noise density must be non-negative")
-        var = self.n0_w_per_hz * fs_hz / 2.0
+        return self.n0_w_per_hz * fs_hz / 2.0
+
+    def add(self, samples: np.ndarray, fs_hz: float, rng: np.random.Generator) -> np.ndarray:
+        var = self.variance(fs_hz)
         if np.iscomplexobj(samples):
             sigma = math.sqrt(var / 2.0)
             return samples + sigma * (
@@ -128,12 +133,15 @@ class NoiseModel:
 W_BURST_ENVELOPE = (1.0, -1.0, 1.0, -1.0, 1.0)
 
 
+@lru_cache(maxsize=16)
 def burst_template(n_samples: int, envelope: tuple[float, ...] = W_BURST_ENVELOPE) -> np.ndarray:
     """One burst's envelope, linear between evenly spaced knots, at n_samples
-    points spanning the burst with both ends included."""
+    points spanning the burst with both ends included (cached, read-only)."""
     knots = np.asarray(envelope, dtype=np.float64)
     t = np.linspace(0.0, 1.0, n_samples)
-    return np.interp(t, np.linspace(0.0, 1.0, len(knots)), knots)
+    out = np.interp(t, np.linspace(0.0, 1.0, len(knots)), knots)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,30 +182,39 @@ class WBurstModel:
         return np.asarray(times)
 
 
+def _burst_windows(m: WBurstModel, arrivals_s: np.ndarray, fs_hz: float) -> tuple[np.ndarray, int]:
+    """First sample index round(t*fs) of each burst on the global grid, and
+    the burst length in samples."""
+    first = np.round(np.asarray(arrivals_s, dtype=np.float64) * fs_hz).astype(np.int64)
+    return first, max(1, int(round(m.duration_s * fs_hz)))
+
+
 def add_w_bursts(
     x: np.ndarray,
     m: WBurstModel,
-    span_s: float,
+    arrivals_s: np.ndarray,
+    t_start_s: float,
     fs_hz: float,
     rms: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Add m's bursts in place to the 1-D sample block x covering [0, span_s).
+) -> None:
+    """Add m's bursts in place to the 1-D sample block x starting at t_start_s.
 
-    Burst amplitude is ``m.amplitude_scale * rms``; a burst running past the
-    end of the block is cut off.  Returns the arrival times, which are drawn
-    from rng even at amplitude_scale = 0.
+    ``arrivals_s`` are sorted burst arrival times, as drawn by
+    ``m.arrival_times`` over the whole stream.  Each burst is placed on the
+    global sample grid, so a burst that starts before the block adds its tail,
+    one running past the block's end is cut off there, and blocks laid end to
+    end receive every burst exactly once.  Burst amplitude is
+    ``m.amplitude_scale * rms``.
     """
-    arrivals = m.arrival_times(0.0, span_s, rng)
-    if m.amplitude_scale > 0:
-        n_burst = max(1, int(round(m.duration_s * fs_hz)))
-        template = m.amplitude_scale * rms * burst_template(n_burst, m.envelope)
-        for t0 in arrivals:
-            i = int(round(t0 * fs_hz))
-            j = min(i + n_burst, len(x))
-            if i < len(x):
-                x[i:j] += template[: j - i]
-    return arrivals
+    b0 = int(round(t_start_s * fs_hz))
+    pad = m.duration_s + 2.0 / fs_hz  # covers the rounding of both ends
+    lo, hi = np.searchsorted(arrivals_s, [t_start_s - pad, t_start_s + len(x) / fs_hz + pad])
+    first, n_burst = _burst_windows(m, arrivals_s[lo:hi], fs_hz)
+    template = m.amplitude_scale * rms * burst_template(n_burst, m.envelope)
+    for i in first - b0:
+        a, b = max(i, 0), min(i + n_burst, len(x))
+        if a < b:
+            x[a:b] += template[a - i : b - i]
 
 
 def interference_symbol_error_rate(ds_s: float, m: WBurstModel | None = None) -> float:

@@ -21,11 +21,9 @@ PAPER_DETECTION_FRACTION = 0.712
 WILSON_Z95 = 1.959963984540054
 
 
-def qfunc(x) -> np.ndarray | float:
+def qfunc(x: float) -> float:
     """Gaussian tail probability Q(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * np.vectorize(math.erfc)(x / math.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ber_theory(snr: float, sf: int) -> float:
@@ -36,7 +34,7 @@ def ber_theory(snr: float, sf: int) -> float:
     if sf < 1:
         raise ConfigurationError(f"sf must be >= 1, got {sf}")
     arg = math.sqrt(max(snr, 0.0) * 2.0 ** (sf + 1)) - math.sqrt(1.386 * sf + 1.154)
-    return 0.5 * float(qfunc(arg))
+    return 0.5 * qfunc(arg)
 
 
 def effective_snr(

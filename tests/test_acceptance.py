@@ -379,8 +379,9 @@ def test_criterion_11_hardware_measurements_not_asserted():
 
     Antenna S-parameter curves, link-quality readings, and the absolute
     uncalibrated error rates of the measured figures depend on hardware and
-    the specific concrete pour; the suites above cover their governing
-    physics (propagation, resonance shift, error-rate trends) without
-    pinning those numbers.  This placeholder records the scope decision.
+    the specific concrete pour; the suites above cover what the simulator
+    models of them (the measured incident-power table, the permittivity
+    inverted from a resonance shift, error-rate trends) without pinning
+    those numbers.  This placeholder records the scope decision.
     """
     _report(11, True, "hardware-only measurements excluded from assertions by design")

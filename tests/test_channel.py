@@ -106,7 +106,8 @@ def test_inject_w_bursts_touches_only_logged_windows():
     fs = 32768.0
     x = np.zeros(32768 * 4)
     m = channel.WBurstModel()
-    arrivals = channel.add_w_bursts(x, m, len(x) / fs, fs, 1.0, np.random.default_rng(3))
+    arrivals = m.arrival_times(0.0, len(x) / fs, np.random.default_rng(3))
+    channel.add_w_bursts(x, m, arrivals, 0.0, fs, 1.0)
     assert len(arrivals) > 0
     mask = np.zeros(len(x), dtype=bool)
     for t0 in arrivals:
@@ -121,9 +122,28 @@ def test_inject_w_bursts_touches_only_logged_windows():
 def test_inject_w_bursts_zero_scale_keeps_log():
     x = np.zeros(32768)
     m = channel.WBurstModel(amplitude_scale=0.0)
-    arrivals = channel.add_w_bursts(x, m, 1.0, 32768.0, 1.0, np.random.default_rng(3))
+    arrivals = m.arrival_times(0.0, 1.0, np.random.default_rng(3))
+    channel.add_w_bursts(x, m, arrivals, 0.0, 32768.0, 1.0)
     assert not x.any()
-    assert len(arrivals) > 0  # arrivals still reported for bookkeeping
+    assert len(arrivals) > 0  # the arrivals stay for bookkeeping
+
+
+def test_add_w_bursts_blocks_end_to_end_equal_one_stream():
+    # a burst spilling over a block edge lands in both blocks, and one
+    # running past the last block is cut off there
+    fs = 32768.0
+    m = channel.WBurstModel()
+    n_burst = int(round(m.duration_s * fs))
+    arrivals = np.array([(1000 - 10) / fs, (3000 - 7) / fs])
+    whole = np.zeros(3000)
+    channel.add_w_bursts(whole, m, arrivals, 0.0, fs, 2.0)
+    parts = np.zeros(3000)
+    for b0 in range(0, 3000, 1000):
+        channel.add_w_bursts(parts[b0 : b0 + 1000], m, arrivals, b0 / fs, fs, 2.0)
+    tpl = 2.0 * m.amplitude_scale * channel.burst_template(n_burst)
+    assert np.array_equal(parts, whole)
+    assert np.array_equal(whole[990 : 990 + n_burst], tpl)
+    assert np.array_equal(whole[-7:], tpl[:7])
 
 
 def test_interference_rate_closed_form():

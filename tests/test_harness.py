@@ -133,6 +133,118 @@ def test_engine_bursts_raise_errors_at_high_snr():
     assert quiet.ber == 0.0
 
 
+@pytest.mark.parametrize("sf", [5, 7])
+def test_engine_noise_factor_reproduces_dechirp_covariance(sf):
+    # the bin noise L z must have the covariance of mean-removed white noise
+    # after dechirp_bins: D P D^H, with D built column by column from eye(M)
+    p = chirp.derive_params(sf, 32768.0, fs_hz=32768.0)
+    m, n = p.samples_per_symbol, p.n_bins
+    eng = harness.BerEngine(p, "complex")
+    d = rxdsp.dechirp_bins(np.eye(m), p).T
+    want = d @ (np.eye(m) - 1.0 / m) @ d.conj().T
+    factor = eng._color(np.eye(n, dtype=np.complex128), 1.0).T
+    got = factor @ factor.conj().T
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _burst_stream_bins(eng, bursts, arrivals, amp, n_symbols):
+    """dechirp_bins of the mean-removed burst stream of n_symbols symbols."""
+    p = eng.p
+    m = p.samples_per_symbol
+    x = np.zeros(n_symbols * m)
+    channel.add_w_bursts(x, bursts, arrivals, 0.0, p.fs_hz, amp)
+    rows = x.reshape(n_symbols, m)
+    return rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
+
+
+def test_engine_burst_bins_match_the_time_domain_stream():
+    p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
+    eng = harness.BerEngine(p, "complex")
+    bursts = channel.WBurstModel(mean_interval_s=0.05)
+    n_symbols = 400
+    arrivals = bursts.arrival_times(0.0, n_symbols * p.ds_s, np.random.default_rng(5))
+    want = _burst_stream_bins(eng, bursts, arrivals, 0.3, n_symbols)
+    ks = eng._burst_symbols(bursts, arrivals, n_symbols)
+    got = np.zeros_like(want)
+    got[ks] = eng._burst_bins(bursts, arrivals, 0.3, ks)
+    assert 0 < len(ks) < n_symbols
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_engine_burst_crossing_a_chunk_edge_reaches_the_next_chunk():
+    p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
+    m = p.samples_per_symbol
+    eng = harness.BerEngine(p, "complex")
+    bursts = channel.WBurstModel()
+    edge = harness.ENGINE_BATCH  # first symbol of chunk 1
+    arrivals = np.array([(edge * m - 10) / p.fs_hz])  # 10 samples before the edge
+    ks = eng._burst_symbols(bursts, arrivals, edge + 1)
+    assert list(ks) == [edge - 1, edge]
+    bins = eng._burst_bins(bursts, arrivals, 1.0, ks)
+    want = _burst_stream_bins(eng, bursts, arrivals, 1.0, edge + 1)[edge - 1 :]
+    assert np.max(np.abs(bins[1])) > 1.0  # the tail changes chunk 1's first symbol
+    assert np.max(np.abs(bins - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_engine_burst_past_the_last_symbol_is_cut_off():
+    p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
+    m = p.samples_per_symbol
+    eng = harness.BerEngine(p, "complex")
+    bursts = channel.WBurstModel()
+    n_symbols = 3
+    arrivals = np.array([(n_symbols * m - 4) / p.fs_hz])  # 4 samples before the end
+    ks = eng._burst_symbols(bursts, arrivals, n_symbols)
+    assert list(ks) == [n_symbols - 1]
+    last = np.zeros(m)
+    last[-4:] = bursts.amplitude_scale * channel.burst_template(
+        int(round(bursts.duration_s * p.fs_hz)), bursts.envelope
+    )[:4]
+    want = rxdsp.dechirp_bins(last - last.mean(), p)
+    got = eng._burst_bins(bursts, arrivals, 1.0, ks)[0]
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts=None):
+    """Reference chain in the time domain: NoiseModel.add, mean removal,
+    dechirp_bins and argmax, block by block over one burst-arrival draw."""
+    p = eng.p
+    m = p.samples_per_symbol
+    rng = np.random.default_rng(seed)
+    amp = math.sqrt(ps_w)
+    noise = channel.NoiseModel(n0)
+    if bursts is not None:
+        arrivals = bursts.arrival_times(0.0, n_symbols * m / p.fs_hz, rng)
+    errors = 0
+    for start in range(0, n_symbols, 1000):
+        nb = min(1000, n_symbols - start)
+        tx = rng.integers(0, p.n_bins, size=nb)
+        x = amp * eng.templates[tx]
+        if bursts is not None:
+            b = np.zeros(nb * m)
+            channel.add_w_bursts(b, bursts, arrivals, start * m / p.fs_hz, p.fs_hz, amp)
+            x = x + b.reshape(nb, m)
+        y = noise.add(x, p.fs_hz, rng)
+        y = y - y.mean(axis=1, keepdims=True)
+        errors += np.count_nonzero(np.argmax(np.abs(rxdsp.dechirp_bins(y, p)), axis=1) != tx)
+    return errors / n_symbols
+
+
+@pytest.mark.parametrize("with_bursts", [False, True], ids=["awgn", "bursts"])
+def test_engine_complex_ser_matches_time_domain_oracle(with_bursts):
+    # criterion 5's Pb grid and chain; matched n, independent seeds
+    p = chirp.derive_params(7, 32768.0, fs_hz=32768.0)
+    eng = harness.BerEngine(p, "complex")
+    bursts = channel.WBurstModel() if with_bursts else None
+    n0, n = 1e-3, 6000
+    for i, pb in enumerate([0.15, 0.07, 0.02, 6e-3, 1.5e-3]):
+        ps = rxdsp.snr_for_ber(pb, p.sf) * p.bw_hz * n0
+        ser = eng.run(ps, n0, n, seed=300 + i, bursts=bursts).ser
+        ref = _time_domain_ser(eng, ps, n0, n, 400 + i, bursts)
+        pooled = 0.5 * (ser + ref)
+        sigma = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+        assert abs(ser - ref) <= 4.0 * sigma, (pb, ser, ref)
+
+
 # -------------------------------------------------------------------- sweeps
 
 def test_ber_sweep_rows_and_determinism():

@@ -36,6 +36,16 @@ def test_snr_for_ber_inverts_theory():
     for pb in (0.15, 0.03, 1e-3):
         snr = rxdsp.snr_for_ber(pb, 7)
         assert rxdsp.ber_theory(snr, 7) == pytest.approx(pb, rel=1e-6)
+    # criterion 5's targets, bit for bit as the vectorized Q(x) gave them
+    pinned = {
+        0.15: "0x1.d2c5b0c5e1198p-5",
+        0.07: "0x1.3245dee2acffdp-4",
+        0.02: "0x1.97516bed55dc0p-4",
+        6e-3: "0x1.ed30caa0352afp-4",
+        1.5e-3: "0x1.241b4b3a52e25p-3",
+    }
+    for pb, want in pinned.items():
+        assert rxdsp.snr_for_ber(pb, 7).hex() == want
 
 
 def test_effective_snr_arithmetic():
