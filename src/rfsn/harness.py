@@ -187,9 +187,10 @@ class BerEngine:
 
     `dechirp_bins` is linear, so a symbol's decision bins are
     ``amp * template_bins[tx]`` plus the dechirped, mean-removed noise plus
-    the dechirped, mean-removed bursts.  Complex noise is drawn straight in
-    the 2^sf bins with its exact covariance; real noise has a dense
-    pseudo-covariance there, so real templates keep the time-domain draw.
+    the dechirped, mean-removed bursts.  The noise of every template is drawn
+    straight in the 2^sf bins with its exact covariance: complex noise through
+    a rank-1 correction, real noise through a 2^(sf+1)-square factor of its
+    stacked (Re, Im) covariance, built on first use.
     """
 
     def __init__(self, p: chirp.ChirpParams, kind: str = "square-quantized"):
@@ -247,6 +248,43 @@ class BerEngine:
         z -= (z @ (g * u_hat.conj()))[:, None] * u_hat
         return z
 
+    @cached_property
+    def _real_noise_factor(self) -> np.ndarray:
+        """L^T of the bin-noise factor of unit-variance real white noise.
+
+        The bins y = D P x of real white x have covariance C = E[y y^H] =
+        2M I - u u^H / M, as for complex noise, and pseudo-covariance
+        Q = E[y y^T] = D D^T - u u^T / M, where u = D 1 and
+        (D D^T)[k, l] = G[k+l] + 2 G[k+l-n] + G[k+l-2n] (indices mod M, G the
+        M-point FFT of the squared conjugate chirp).  With (Re, Im) interleaved
+        the stacked covariance K holds Re(C + Q)/2, Re(C - Q)/2, Im(C + Q)/2
+        and -Im(C - Q)/2.  K is singular (rank 234 of 256 at sf 7), so
+        L = V sqrt(w) comes from eigh, not Cholesky; L L^T = K.
+        """
+        p = self.p
+        m, n = p.samples_per_symbol, p.n_bins
+        u = rxdsp.dechirp_bins(np.ones(m), p)
+        g = np.fft.fft(rxdsp._downchirp_conj(p.sf, m) ** 2)
+        kl = np.add.outer(np.arange(n), np.arange(n))
+        q = g[kl % m] + 2.0 * g[(kl - n) % m] + g[(kl - 2 * n) % m] - np.outer(u, u) / m
+        c = 2.0 * m * np.eye(n) - np.outer(u, u.conj()) / m
+        k = np.empty((2 * n, 2 * n))
+        k[0::2, 0::2] = 0.5 * (c + q).real  # E[Re y Re y^T]
+        k[1::2, 1::2] = 0.5 * (c - q).real  # E[Im y Im y^T]
+        k[1::2, 0::2] = 0.5 * (c + q).imag  # E[Im y Re y^T]
+        k[0::2, 1::2] = -0.5 * (c - q).imag  # E[Re y Im y^T]
+        w, v = np.linalg.eigh(k)
+        v *= np.sqrt(np.clip(w, 0.0, None))
+        return v.T
+
+    def _bin_noise(self, z: np.ndarray, var: float) -> np.ndarray:
+        """Decision-bin noise, one row per row of the (nb, 2n) standard normals z
+        (overwritten), of mean-removed white time noise with per-sample power var."""
+        if np.iscomplexobj(self.templates):
+            return self._color(z.view(np.complex128), math.sqrt(var / 2.0))
+        z *= math.sqrt(var)
+        return (z @ self._real_noise_factor).view(np.complex128)
+
     def _burst_symbols(
         self, bursts: channel.WBurstModel, arrivals_s: np.ndarray, n_symbols: int
     ) -> np.ndarray:
@@ -294,7 +332,6 @@ class BerEngine:
         """
         p = self.p
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
-        noise = channel.NoiseModel(n0_w_per_hz)
         n_chunks = -(-n_symbols // ENGINE_BATCH)
         streams = np.random.SeedSequence(seed).spawn(n_chunks + 1)
         hit = np.empty(0, dtype=np.int64)
@@ -302,10 +339,8 @@ class BerEngine:
             span_s = n_symbols * p.samples_per_symbol / p.fs_hz
             arrivals = bursts.arrival_times(0.0, span_s, np.random.default_rng(streams[-1]))
             hit = self._burst_symbols(bursts, arrivals, n_symbols)
-        complex_noise = np.iscomplexobj(self.templates)
-        if complex_noise:
-            table = amp * self.template_bins
-            sigma = math.sqrt(noise.variance(p.fs_hz) / 2.0)
+        table = amp * self.template_bins
+        var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
         sent = np.empty(n_symbols, dtype=np.int64)
         detected = np.empty(n_symbols, dtype=np.int64)
         for c in range(n_chunks):
@@ -313,13 +348,8 @@ class BerEngine:
             nb = min(ENGINE_BATCH, n_symbols - start)
             rng = np.random.default_rng(streams[c])
             tx = rng.integers(0, p.n_bins, size=nb)
-            if complex_noise:
-                z = rng.standard_normal((nb, 2 * p.n_bins)).view(np.complex128)
-                stats = self._color(z, sigma)
-                stats += table[tx]
-            else:
-                y = noise.add(amp * self.templates[tx], p.fs_hz, rng)
-                stats = rxdsp.dechirp_bins(y - y.mean(axis=1, keepdims=True), p)
+            stats = self._bin_noise(rng.standard_normal((nb, 2 * p.n_bins)), var)
+            stats += table[tx]
             ks = hit[(hit >= start) & (hit < start + nb)]
             if len(ks):
                 stats[ks - start] += self._burst_bins(bursts, arrivals, amp, ks)
@@ -338,12 +368,9 @@ def _engine_params(cfg: ExperimentConfig, fosc_hz: float | None = None) -> chirp
 class SweepRow:
     """One Monte-Carlo point of a BER sweep.
 
-    `snr_db` and `theory_pb` use `rxdsp.PAPER_DETECTION_FRACTION` (0.712, the
-    square-chirp capture) for every template; the engine's own capture is not
-    used.  For the complex template, which captures ~0.994, they understate
-    the SNR: in the one-anchor calibrated sweep at 13.5 cm, `theory_pb` reads
-    0.132 beside a Monte-Carlo BER of 0.041 at 24 dBm EIRP, and 0.064 beside
-    0.014 at 25 dBm.
+    `snr_db` and `theory_pb` use the engine's own dechirp capture
+    (`BerEngine.detection_fraction`), so each template is judged at the SNR
+    its decision bin sees.
     """
 
     axis: str
@@ -376,7 +403,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         eng = engines[fosc]
         p = eng.p
         ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
-        snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz)
+        snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz, eng.detection_fraction())
         t0 = time.perf_counter()
         res = eng.run(ps_w, cfg.n0_w_per_hz, cfg.n_symbols, cfg.base_seed + idx, bursts)
         rows.append(
@@ -400,6 +427,8 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 @dataclass
 class ChargeRow:
+    axis: str
+    axis_value: float
     pr_dbm: float
     variant: str
     capacitance_f: float
@@ -440,7 +469,11 @@ def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
         _, pr = point(cfg, table, value)
         c = powersim.Capacitor(cfg.capacitance_f)
         t = powersim.time_to_voltage(c, cfg.target_v, pr, harvester, leakage, cfg.dt_s)
-        rows.append(ChargeRow(pr, cfg.charge_variant, cfg.capacitance_f, cfg.target_v, t))
+        rows.append(
+            ChargeRow(
+                cfg.sweep_axis, value, pr, cfg.charge_variant, cfg.capacitance_f, cfg.target_v, t
+            )
+        )
     return rows
 
 

@@ -280,7 +280,7 @@ def test_criterion_8_ber_at_24_dbm_three_percent(calibrated_eirp_sweep):
     law, so this checks the Monte-Carlo BER against that law at the row's own
     SNR: capture x Ps / (Bw N0), with the capture measured on the engine's
     templates and the noise reduced by what mean removal takes out
-    (`row.snr_db` uses the square-chirp 0.712 instead).  The band is 4 sigma of
+    (`row.snr_db` uses the same capture without that noise correction).  The band is 4 sigma of
     the symbol-error binomial mapped to bits; bit errors cluster within a
     symbol, so a bit-level Wilson interval would be about 1.8x too narrow.
 

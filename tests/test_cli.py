@@ -173,19 +173,22 @@ def test_sweep_output_is_strict_json_and_plain_csv(command, config, tmp_path, ca
     assert len(lines) == len(rows) + 1
 
 
-# `rfsn charge-sweep --config configs/charge_sweep.cfg` output, unchanged since
-# before the sweep commands shared one row emitter
-CHARGE_SWEEP_CSV = """pr_dbm,variant,capacitance_f,target_v,time_s
--10.0,passive,2.2e-05,1.8,never
--8.1,passive,2.2e-05,1.8,15.358999999996927
--6.0,passive,2.2e-05,1.8,5.043000000000019
--4.0,passive,2.2e-05,1.8,1.8659999999999053
--2.3,passive,2.2e-05,1.8,0.9010000000000007
-0.0,passive,2.2e-05,1.8,0.3940000000000003
-5.0,passive,2.2e-05,1.8,0.08900000000000007
+# `rfsn charge-sweep --config configs/charge_sweep.cfg` output: the sweep point
+# (`axis`, `axis_value`) leads each row, as in `ber-sweep`; the other columns are
+# unchanged since before the sweep commands shared one row emitter
+CHARGE_SWEEP_CSV = """axis,axis_value,pr_dbm,variant,capacitance_f,target_v,time_s
+pr_dbm,-10.0,-10.0,passive,2.2e-05,1.8,never
+pr_dbm,-8.1,-8.1,passive,2.2e-05,1.8,15.358999999996927
+pr_dbm,-6.0,-6.0,passive,2.2e-05,1.8,5.043000000000019
+pr_dbm,-4.0,-4.0,passive,2.2e-05,1.8,1.8659999999999053
+pr_dbm,-2.3,-2.3,passive,2.2e-05,1.8,0.9010000000000007
+pr_dbm,0.0,0.0,passive,2.2e-05,1.8,0.3940000000000003
+pr_dbm,5.0,5.0,passive,2.2e-05,1.8,0.08900000000000007
 """
 CHARGE_SWEEP_JSON = "[\n" + ",\n".join(
     "  {\n"
+    '    "axis": "pr_dbm",\n'
+    f'    "axis_value": {pr},\n'
     f'    "pr_dbm": {pr},\n'
     '    "variant": "passive",\n'
     '    "capacitance_f": 2.2e-05,\n'
@@ -210,6 +213,16 @@ def test_charge_sweep_text_is_pinned(capsys):
             capsys, "charge-sweep", "--config", str(CONFIGS / "charge_sweep.cfg"), "--format", fmt
         )
         assert (code, out) == (0, want)
+
+
+def test_charge_sweep_names_the_eirp_of_each_row(capsys):
+    code, out = run_cli(capsys, "charge-sweep", "--config", str(CONFIGS / "eirp_ber_sweep.cfg"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("axis,axis_value,pr_dbm,")
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["eirp_dbm", v] for v in ("22.1", "23.0", "24.0", "25.0")
+    ]
 
 
 # `snr_db` and `pb` use rxdsp.PAPER_DETECTION_FRACTION (0.712) for every clock.

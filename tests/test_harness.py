@@ -135,16 +135,50 @@ def test_engine_bursts_raise_errors_at_high_snr():
 
 @pytest.mark.parametrize("sf", [5, 7])
 def test_engine_noise_factor_reproduces_dechirp_covariance(sf):
-    # the bin noise L z must have the covariance of mean-removed white noise
-    # after dechirp_bins: D P D^H, with D built column by column from eye(M)
+    # the bin noise of every template must have the stacked (Re, Im)
+    # covariance of mean-removed white noise after dechirp_bins, D P, with D
+    # built column by column from eye(M): complex noise of unit total power
+    # per sample for the complex template, real unit-variance noise otherwise
     p = chirp.derive_params(sf, 32768.0, fs_hz=32768.0)
     m, n = p.samples_per_symbol, p.n_bins
-    eng = harness.BerEngine(p, "complex")
-    d = rxdsp.dechirp_bins(np.eye(m), p).T
-    want = d @ (np.eye(m) - 1.0 / m) @ d.conj().T
-    factor = eng._color(np.eye(n, dtype=np.complex128), 1.0).T
-    got = factor @ factor.conj().T
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    dp = rxdsp.dechirp_bins(np.eye(m), p).T @ (np.eye(m) - 1.0 / m)
+    real_map = np.empty((2 * n, m))  # (Re, Im) of the bins, interleaved
+    real_map[0::2], real_map[1::2] = dp.real, dp.imag
+    imag_map = np.empty((2 * n, m))  # the same for an imaginary input
+    imag_map[0::2], imag_map[1::2] = -dp.imag, dp.real
+    for kind in harness.TEMPLATE_KINDS:
+        eng = harness.BerEngine(p, kind)
+        if kind == "complex":
+            want = 0.5 * (real_map @ real_map.T + imag_map @ imag_map.T)
+        else:
+            want = real_map @ real_map.T
+        # row j of the bin noise is the factor applied to the unit vector e_j
+        factor = eng._bin_noise(np.eye(2 * n), 1.0).view(np.float64)
+        got = factor.T @ factor
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kind
+
+
+def test_engine_real_noise_factor_is_built_only_by_a_run():
+    # an engine built for its templates or capture alone (perfbench's
+    # synth_demod builds four at sf 9) never pays for the real factor
+    for kind in harness.TEMPLATE_KINDS:
+        eng = harness.BerEngine(_params(), kind)
+        eng.detection_fraction()
+        assert "_real_noise_factor" not in vars(eng), kind
+    eng = harness.BerEngine(_params(), "cosine")
+    eng.run(1e-2, 1e-4, 10, seed=1)  # a run of a real template builds it
+    assert vars(eng)["_real_noise_factor"].shape == (2 * eng.p.n_bins,) * 2
+
+
+def test_engine_run_draws_no_time_domain_noise(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("BerEngine.run drew time-domain noise")
+
+    monkeypatch.setattr(channel.NoiseModel, "add", refuse)
+    for kind in harness.TEMPLATE_KINDS:
+        eng = harness.BerEngine(_params(), kind)
+        res = eng.run(1e-2, 1e-4, 300, seed=4, bursts=channel.WBurstModel())
+        assert res.n_symbols == 300, kind
 
 
 def _burst_stream_bins(eng, bursts, arrivals, amp, n_symbols):
@@ -229,17 +263,25 @@ def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts=None):
     return errors / n_symbols
 
 
-@pytest.mark.parametrize("with_bursts", [False, True], ids=["awgn", "bursts"])
-def test_engine_complex_ser_matches_time_domain_oracle(with_bursts):
-    # criterion 5's Pb grid and chain; matched n, independent seeds
+@pytest.mark.parametrize(
+    "kind,with_bursts",
+    [(kind, False) for kind in harness.TEMPLATE_KINDS]
+    + [("complex", True), ("square-quantized", True)],
+    ids=lambda v: v if isinstance(v, str) else ("bursts" if v else "awgn"),
+)
+def test_engine_ser_matches_time_domain_oracle(kind, with_bursts):
+    # criterion 5's Pb grid, power scaling and chain; matched n, independent
+    # seeds, one seed block for the complex and one for the real templates
     p = chirp.derive_params(7, 32768.0, fs_hz=32768.0)
-    eng = harness.BerEngine(p, "complex")
+    eng = harness.BerEngine(p, kind)
+    frac = 1.0 if kind == "complex" else eng.detection_fraction()
+    seed = 300 if kind == "complex" else 1300
     bursts = channel.WBurstModel() if with_bursts else None
     n0, n = 1e-3, 6000
     for i, pb in enumerate([0.15, 0.07, 0.02, 6e-3, 1.5e-3]):
-        ps = rxdsp.snr_for_ber(pb, p.sf) * p.bw_hz * n0
-        ser = eng.run(ps, n0, n, seed=300 + i, bursts=bursts).ser
-        ref = _time_domain_ser(eng, ps, n0, n, 400 + i, bursts)
+        ps = rxdsp.snr_for_ber(pb, p.sf) * p.bw_hz * n0 / frac
+        ser = eng.run(ps, n0, n, seed=seed + i, bursts=bursts).ser
+        ref = _time_domain_ser(eng, ps, n0, n, seed + 100 + i, bursts)
         pooled = 0.5 * (ser + ref)
         sigma = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
         assert abs(ser - ref) <= 4.0 * sigma, (pb, ser, ref)
@@ -267,6 +309,19 @@ def test_ber_sweep_rows_and_determinism():
     text = cli.rows_text(rows, "csv")
     assert text.splitlines()[0].startswith("axis,axis_value,pr_dbm,ps_w,snr_db")
     assert cli.rows_text(rows, "json").startswith("[")
+
+
+def test_ber_sweep_snr_uses_the_engine_capture():
+    cfg = harness.ExperimentConfig(
+        sweep_axis="pr_dbm", sweep_values=[54.0], n_symbols=50, template="complex"
+    )
+    (row,) = harness.run_ber_sweep(cfg)
+    p = harness._engine_params(cfg)
+    capture = harness.BerEngine(p, "complex").detection_fraction()
+    assert capture > 0.97  # not the square-chirp 0.712
+    snr = capture * row.ps_w / (p.bw_hz * cfg.n0_w_per_hz)
+    assert row.snr_db == pytest.approx(10.0 * math.log10(snr), rel=1e-12)
+    assert row.theory_pb == pytest.approx(rxdsp.ber_theory(snr, cfg.sf), rel=1e-12)
 
 
 def test_ber_sweep_eirp_axis_uses_power_table():
