@@ -9,7 +9,6 @@ the MCU instruction-cycle grid of 4/Fosc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,65 +114,86 @@ def instantaneous_frequency(symbol: int, t: float, p: ChirpParams) -> float:
     return (f_start + p.bw_hz * t / p.ds_s) % p.bw_hz
 
 
-def symbol_phase(symbol: int, p: ChirpParams, t: np.ndarray, phi0: float = 0.0) -> np.ndarray:
-    """Accumulated phase 2*pi*integral(f) of one symbol at times t (seconds)."""
-    _check_symbol(symbol, p)
-    f0 = symbol * p.bw_hz / p.n_bins
-    rate = p.bw_hz / p.ds_s
-    t = np.asarray(t, dtype=np.float64)
-    t_wrap = (p.bw_hz - f0) / rate
-    return phi0 + 2 * np.pi * (f0 * t + 0.5 * rate * t * t) - 2 * np.pi * p.bw_hz * np.clip(
-        t - t_wrap, 0.0, None
-    )
+def _phase_terms(symbol, p: ChirpParams, t):
+    """(ramp, wrap) with phase = phi0 + ramp - wrap; broadcasts over symbol and t.
 
-
-def _symbol_end_phase(symbol: int, p: ChirpParams, phi0: float) -> float:
-    return float(symbol_phase(symbol, p, np.array([p.ds_s]), phi0)[0])
-
-
-def _symbol_toggle_instants(symbol: int, p: ChirpParams, phi0: float) -> np.ndarray:
-    """Continuous-time instants in [0, ds) where the envelope flips.
-
-    The envelope is 1 while frac(phi/2pi) < 1/2, so flips happen exactly where
-    the phase crosses a multiple of pi.  The phase is piecewise quadratic and
-    non-decreasing, so each crossing is solved in closed form per segment.
+    ramp is 2*pi times the integral of the unwrapped frequency f0 + rate*t, and
+    wrap the 2*pi*bw*(t - t_wrap) the modulo-bw wrap takes off after t_wrap.
     """
     f0 = symbol * p.bw_hz / p.n_bins
     rate = p.bw_hz / p.ds_s
-    t_wrap = min((p.bw_hz - f0) / rate, p.ds_s)
-    out = []
+    t_wrap = (p.bw_hz - f0) / rate
+    ramp = 2 * np.pi * (f0 * t + 0.5 * rate * t * t)
+    return ramp, 2 * np.pi * p.bw_hz * np.clip(t - t_wrap, 0.0, None)
 
-    # segment A: f = f0 + rate*t on [0, t_wrap)
-    phi_a0 = phi0
-    phi_a1 = phi0 + 2 * np.pi * (f0 * t_wrap + 0.5 * rate * t_wrap**2)
-    m_lo = math.floor(phi_a0 / np.pi) + 1
-    m_hi = math.floor(phi_a1 / np.pi)
-    if m_hi >= m_lo:
-        m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-        c = (m * np.pi - phi_a0) / (2 * np.pi)
-        t = (np.sqrt(f0 * f0 + 2 * rate * c) - f0) / rate
-        # a crossing exactly at the wrap belongs to this segment; clip the
-        # float overshoot instead of filtering it out
-        out.append(np.minimum(t, t_wrap))
 
-    # segment B: f = rate*(t - t_wrap) on [t_wrap, ds)
-    if t_wrap < p.ds_s:
-        tau_max = p.ds_s - t_wrap
-        phi_b0 = phi_a1
-        phi_b1 = phi_b0 + 2 * np.pi * 0.5 * rate * tau_max**2
-        m_lo = math.floor(phi_b0 / np.pi) + 1
-        m_hi = math.floor(phi_b1 / np.pi)
-        if m_hi >= m_lo:
-            m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-            c = (m * np.pi - phi_b0) / (2 * np.pi)
-            tau = np.sqrt(2 * c / rate)
-            # a crossing exactly at the symbol boundary belongs to this
-            # symbol; clip the float overshoot instead of filtering it out
-            out.append(t_wrap + np.minimum(tau, tau_max))
+def symbol_phase(symbol: int, p: ChirpParams, t: np.ndarray, phi0: float = 0.0) -> np.ndarray:
+    """Accumulated phase 2*pi*integral(f) of one symbol at times t (seconds)."""
+    _check_symbol(symbol, p)
+    ramp, wrap = _phase_terms(symbol, p, np.asarray(t, dtype=np.float64))
+    return phi0 + ramp - wrap
 
-    if not out:
-        return np.empty(0)
-    return np.concatenate(out)
+
+def _py_squares(x: np.ndarray) -> np.ndarray:
+    """x**2 in Python float arithmetic, element by element.
+
+    Python's ``**`` calls the C library's pow, which can differ from numpy's
+    ``x * x`` in the last bit (0.00024**2 does), and the toggle instants are
+    defined by the former.
+    """
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _pi_crossings(phi_start: np.ndarray, phi_end: np.ndarray):
+    """Multiples m of pi in (phi_start[j], phi_end[j]] for every segment j.
+
+    Returns (seg, m, counts): the segment of each crossing in ascending order,
+    m as float64, and the number of crossings per segment.
+    """
+    m_lo = np.floor(phi_start / np.pi) + 1
+    counts = np.maximum(np.floor(phi_end / np.pi) - m_lo + 1, 0).astype(np.int64)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    m = m_lo[seg] + (np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg])
+    return seg, m, counts
+
+
+def _toggle_instants(symbols: np.ndarray, phi0: np.ndarray, p: ChirpParams):
+    """Continuous-time instants in [0, ds) where each symbol's envelope flips.
+
+    The envelope is 1 while frac(phi/2pi) < 1/2, so flips happen exactly where
+    the phase crosses a multiple of pi.  The phase is piecewise quadratic and
+    non-decreasing, so each crossing is solved in closed form on segment A,
+    f = f0 + rate*t on [0, t_wrap), and segment B, f = rate*(t - t_wrap) on
+    [t_wrap, ds).  All symbols are solved at once, symbol i from phase phi0[i].
+
+    Returns (instants, counts): symbol i's instants, relative to its own
+    start, are the counts[i] entries after those of symbols 0..i-1.
+    """
+    f0 = symbols * p.bw_hz / p.n_bins
+    rate = p.bw_hz / p.ds_s
+    t_wrap = np.minimum((p.bw_hz - f0) / rate, p.ds_s)
+    tau_max = p.ds_s - t_wrap  # 0 where the symbol never wraps: no B crossings
+
+    phi_a1 = phi0 + 2 * np.pi * (f0 * t_wrap + 0.5 * rate * _py_squares(t_wrap))
+    seg_a, m, count_a = _pi_crossings(phi0, phi_a1)
+    c = (m * np.pi - phi0[seg_a]) / (2 * np.pi)
+    fa = f0[seg_a]
+    # a crossing exactly at the wrap belongs to segment A; clip the float
+    # overshoot instead of filtering it out
+    t_a = np.minimum((np.sqrt(fa * fa + 2 * rate * c) - fa) / rate, t_wrap[seg_a])
+
+    phi_b1 = phi_a1 + 2 * np.pi * 0.5 * rate * _py_squares(tau_max)
+    seg_b, m, count_b = _pi_crossings(phi_a1, phi_b1)
+    c = (m * np.pi - phi_a1[seg_b]) / (2 * np.pi)
+    # a crossing exactly at the symbol boundary belongs to this symbol; clip
+    # the float overshoot instead of filtering it out
+    t_b = t_wrap[seg_b] + np.minimum(np.sqrt(2 * c / rate), tau_max[seg_b])
+
+    # each symbol's A crossings, then its B crossings
+    out = np.empty(len(t_a) + len(t_b))
+    out[np.arange(len(t_a)) + (np.cumsum(count_b) - count_b)[seg_a]] = t_a
+    out[np.arange(len(t_b)) + np.cumsum(count_a)[seg_b]] = t_b
+    return out, count_a + count_b
 
 
 def _drop_coincident_pairs(t: np.ndarray, bw_hz: float) -> np.ndarray:
@@ -196,35 +216,86 @@ def _drop_coincident_pairs(t: np.ndarray, bw_hz: float) -> np.ndarray:
     return t[keep]
 
 
+def _snap_to_grid(instants: np.ndarray, grid_s: float) -> np.ndarray:
+    """Round sorted toggle instants up to the grid, at least one step apart."""
+    if len(instants) > 1:
+        min_sep = float(np.min(np.diff(instants)))
+        if min_sep < grid_s - 1e-15:
+            raise ConfigurationError(
+                f"bandwidth infeasible: shortest half-period {min_sep:.3e} s is below "
+                f"the 8-clock-cycle minimum (toggle grid {grid_s:.3e} s)"
+            )
+    snapped = np.ceil(instants / grid_s - 1e-9) * grid_s
+    if len(snapped) > 1:
+        # a toggle may not land on or before its predecessor's grid point
+        steps = np.arange(len(snapped)) * grid_s
+        snapped = np.maximum.accumulate(snapped - steps) + steps
+    return snapped
+
+
 def _render_from_toggles(
     toggles_s: np.ndarray, initial_value: int, n_samples: int, fs_hz: float
 ) -> np.ndarray:
-    """Binary samples at t_k = k/fs from continuous toggle instants."""
-    t = np.arange(n_samples) / fs_hz
-    flips = np.searchsorted(toggles_s, t, side="right")
-    return ((initial_value + flips) % 2).astype(np.float64)
+    """Binary samples at t_k = k/fs from sorted continuous toggle instants.
+
+    Sample k has flipped once for every toggle t <= k/fs, so a toggle takes
+    effect from the first k with k/fs >= t.  That k is ceil(t*fs), moved by
+    one step either way where rounding put it off the first such k.  The
+    samples are then alternating levels repeated over the run lengths between
+    those first samples: the cost grows with the toggles, not the samples.
+    """
+    k = np.ceil(toggles_s * fs_hz)
+    k -= (k - 1) / fs_hz >= toggles_s
+    k += k / fs_hz < toggles_s
+    runs = np.diff(np.clip(k, 0, n_samples).astype(np.int64), prepend=0, append=n_samples)
+    levels = (initial_value + np.arange(len(runs))) % 2
+    return np.repeat(levels.astype(np.float64), runs)
 
 
 def modulate_ideal(symbols, p: ChirpParams) -> Waveform:
     """Binary-envelope square chirps with exact (unquantized) toggle instants.
 
     Phase accumulates across symbols (a GPIO loop cannot reset phase), so a
-    repeated symbol continues where the previous one left off.
+    repeated symbol continues where the previous one left off.  Each symbol's
+    start phase is the previous one's end phase mod 2*pi, chained in a scalar
+    loop; the toggle instants of every symbol are then solved in one batch and
+    rendered run by run, so the cost grows with the toggles, not the samples.
     """
-    symbols = list(symbols)
+    symbols = [int(s) for s in symbols]
     if not symbols:
         raise ConfigurationError("symbol sequence must be non-empty")
+    for s in symbols:
+        _check_symbol(s, p)
     m = p.samples_per_symbol
-    phi0 = 0.0
-    toggles = []
-    for i, s in enumerate(symbols):
-        _check_symbol(int(s), p)
-        toggles.append(i * p.ds_s + _symbol_toggle_instants(int(s), p, phi0))
-        phi0 = _symbol_end_phase(int(s), p, phi0) % (2 * np.pi)
-    instants = _drop_coincident_pairs(np.concatenate(toggles), p.bw_hz)
+    symbols = np.array(symbols)
+    ramp, wrap = _phase_terms(symbols, p, p.ds_s)
+    phi0 = [0.0]
+    for r, w in zip(ramp[:-1].tolist(), wrap[:-1].tolist()):
+        phi0.append((phi0[-1] + r - w) % (2 * np.pi))
+    rel, counts = _toggle_instants(symbols, np.array(phi0), p)
+    starts = np.repeat(np.arange(len(symbols)) * p.ds_s, counts)
+    instants = _drop_coincident_pairs(starts + rel, p.bw_hz)
     initial = 1  # phi(0) = 0 -> frac 0 < 1/2
     samples = _render_from_toggles(instants, initial, m * len(symbols), p.fs_hz)
     return Waveform(samples, p.fs_hz, KIND_BINARY, toggle_instants=instants)
+
+
+def _symbol_envelopes(p: ChirpParams, quantized: bool) -> np.ndarray:
+    """Row s: the samples of modulate_ideal([s], p), quantized as quantize_toggles does.
+
+    One batch solve for all 2^sf symbols from phase 0, then per row only the
+    coincident-pair drop, the optional snap and the render.
+    """
+    n, m = p.n_bins, p.samples_per_symbol
+    rel, counts = _toggle_instants(np.arange(n), np.zeros(n), p)
+    rows = np.empty((n, m))
+    for s, t in enumerate(np.split(rel, np.cumsum(counts)[:-1])):
+        t = _drop_coincident_pairs(t, p.bw_hz)
+        if quantized:
+            t = _snap_to_grid(t, CYCLES_PER_TOGGLE / p.fosc_hz)
+        # every toggle of a symbol from phase 0 lies after t = 0
+        rows[s] = _render_from_toggles(t, 1, m, p.fs_hz)
+    return rows
 
 
 def quantize_toggles(w: Waveform, fosc_hz: float) -> Waveform:
@@ -239,23 +310,9 @@ def quantize_toggles(w: Waveform, fosc_hz: float) -> Waveform:
         raise ConfigurationError("quantize_toggles needs a binary-envelope waveform")
     if w.toggle_instants is None:
         raise ConfigurationError("quantize_toggles needs the toggle instants of modulate_ideal")
-    grid = CYCLES_PER_TOGGLE / fosc_hz
     instants = np.asarray(w.toggle_instants, dtype=np.float64)
+    snapped = _snap_to_grid(instants, CYCLES_PER_TOGGLE / fosc_hz)
     initial = int(w.samples[0]) if len(w.samples) else 1
-
-    if len(instants) > 1:
-        min_sep = float(np.min(np.diff(instants)))
-        if min_sep < grid - 1e-15:
-            raise ConfigurationError(
-                f"bandwidth infeasible: shortest half-period {min_sep:.3e} s is below "
-                f"the 8-clock-cycle minimum (toggle grid {grid:.3e} s)"
-            )
-
-    snapped = np.ceil(instants / grid - 1e-9) * grid
-    # enforce >= one grid step between consecutive toggles, preserving order
-    if len(snapped) > 1:
-        shifted = snapped - np.arange(len(snapped)) * grid
-        snapped = np.maximum.accumulate(shifted) + np.arange(len(snapped)) * grid
     samples = _render_from_toggles(snapped, initial, len(w.samples), w.fs_hz)
     return Waveform(samples, w.fs_hz, KIND_BINARY, toggle_instants=snapped)
 

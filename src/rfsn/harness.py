@@ -210,12 +210,7 @@ class BerEngine:
             for s in range(n):
                 tpl[s] = np.cos(chirp.symbol_phase(s, p, t))
         else:
-            tpl = np.empty((n, m))
-            for s in range(n):
-                w = chirp.modulate_ideal([s], p)
-                if kind == "square-quantized":
-                    w = chirp.quantize_toggles(w, p.fosc_hz)
-                tpl[s] = w.samples
+            tpl = chirp._symbol_envelopes(p, quantized=kind == "square-quantized")
         tpl = tpl - tpl.mean(axis=1, keepdims=True)
         rms = np.sqrt(np.mean(np.abs(tpl) ** 2, axis=1, keepdims=True))
         self.templates = tpl / rms

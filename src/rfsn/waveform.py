@@ -7,6 +7,7 @@ little-endian f32.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -39,8 +40,8 @@ class Waveform:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples)
-        if self.fs_hz <= 0:
-            raise ConfigurationError(f"sample rate must be positive, got {self.fs_hz}")
+        if not 0 < self.fs_hz < math.inf:
+            raise ConfigurationError(f"sample rate must be positive and finite, got {self.fs_hz}")
         if self.kind not in _KIND_CODES:
             raise ConfigurationError(f"unknown waveform kind {self.kind!r}")
         if self.kind == KIND_BINARY:
@@ -82,9 +83,9 @@ class Waveform:
         own = isinstance(path_or_file, (str, bytes, os.PathLike))
         f = open(path_or_file, "w") if own else path_or_file
         try:
-            f.write("sample_index,value\n")
-            for i, v in enumerate(self.samples):
-                f.write(f"{i},{float(v)!r}\n")
+            values = np.asarray(self.samples, dtype=np.float64).tolist()
+            rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
+            f.write("sample_index,value\n" + rows)
         finally:
             if own:
                 f.close()
@@ -92,20 +93,29 @@ class Waveform:
     @classmethod
     def from_csv(cls, path_or_file, fs_hz: float, kind: str = KIND_ANALOG) -> "Waveform":
         own = isinstance(path_or_file, (str, bytes, os.PathLike))
-        f = open(path_or_file, "r") if own else path_or_file
+        # undecodable bytes become U+FFFD, which the row parser then rejects
+        f = open(path_or_file, "r", encoding="utf-8", errors="replace") if own else path_or_file
         try:
             header = f.readline().strip()
             if header != "sample_index,value":
                 raise ConfigurationError(f"unexpected CSV header {header!r}")
             values = []
-            for line in f:
+            for lineno, line in enumerate(f, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                idx, val = line.split(",")
-                if int(idx) != len(values):
-                    raise ConfigurationError("sample indices must be contiguous from 0")
-                values.append(float(val))
+                try:
+                    idx, val = line.split(",")
+                    idx, val = int(idx), float(val)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"CSV line {lineno}: expected `sample_index,value`, got {line!r}"
+                    ) from None
+                if idx != len(values):
+                    raise ConfigurationError(
+                        f"CSV line {lineno}: sample indices must be contiguous from 0"
+                    )
+                values.append(val)
         finally:
             if own:
                 f.close()

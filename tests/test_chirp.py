@@ -157,3 +157,147 @@ def test_detection_power_fraction_of_square_envelope():
     """The binary envelope concentrates under half its AC power in the peak bin."""
     p = chirp.derive_params(7, 32768, fs_hz=32768)
     assert 0.3 < harness.BerEngine(p, "square-ideal").detection_fraction() < 0.5
+
+
+# -- reference synthesis: one symbol at a time, rendered sample by sample --------
+
+
+def _ref_symbol_toggle_instants(symbol, p, phi0):
+    """Per-symbol closed-form phase crossings, the scalar form of the modulator's solver."""
+    f0 = symbol * p.bw_hz / p.n_bins
+    rate = p.bw_hz / p.ds_s
+    t_wrap = min((p.bw_hz - f0) / rate, p.ds_s)
+    out = []
+    phi_a1 = phi0 + 2 * np.pi * (f0 * t_wrap + 0.5 * rate * t_wrap**2)
+    m_lo = math.floor(phi0 / np.pi) + 1
+    m_hi = math.floor(phi_a1 / np.pi)
+    if m_hi >= m_lo:
+        m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
+        c = (m * np.pi - phi0) / (2 * np.pi)
+        t = (np.sqrt(f0 * f0 + 2 * rate * c) - f0) / rate
+        out.append(np.minimum(t, t_wrap))
+    if t_wrap < p.ds_s:
+        tau_max = p.ds_s - t_wrap
+        phi_b1 = phi_a1 + 2 * np.pi * 0.5 * rate * tau_max**2
+        m_lo = math.floor(phi_a1 / np.pi) + 1
+        m_hi = math.floor(phi_b1 / np.pi)
+        if m_hi >= m_lo:
+            m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
+            c = (m * np.pi - phi_a1) / (2 * np.pi)
+            tau = np.sqrt(2 * c / rate)
+            out.append(t_wrap + np.minimum(tau, tau_max))
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _ref_render(toggles_s, initial_value, n_samples, fs_hz):
+    """Each sample counts the toggles at or before its own instant k/fs."""
+    t = np.arange(n_samples) / fs_hz
+    flips = np.searchsorted(toggles_s, t, side="right")
+    return ((initial_value + flips) % 2).astype(np.float64)
+
+
+def _ref_snap(instants, grid):
+    snapped = np.ceil(instants / grid - 1e-9) * grid
+    if len(snapped) > 1:
+        shifted = snapped - np.arange(len(snapped)) * grid
+        snapped = np.maximum.accumulate(shifted) + np.arange(len(snapped)) * grid
+    return snapped
+
+
+def _ref_modulate(symbols, p):
+    """(ideal instants, ideal samples, quantized instants, quantized samples)."""
+    phi0 = 0.0
+    toggles = []
+    for i, s in enumerate(symbols):
+        toggles.append(i * p.ds_s + _ref_symbol_toggle_instants(int(s), p, phi0))
+        phi0 = float(chirp.symbol_phase(int(s), p, np.array([p.ds_s]), phi0)[0]) % (2 * np.pi)
+    ideal = chirp._drop_coincident_pairs(np.concatenate(toggles), p.bw_hz)
+    n = p.samples_per_symbol * len(symbols)
+    snapped = _ref_snap(ideal, chirp.CYCLES_PER_TOGGLE / p.fosc_hz)
+    return ideal, _ref_render(ideal, 1, n, p.fs_hz), snapped, _ref_render(snapped, 1, n, p.fs_hz)
+
+
+def _assert_matches_reference(symbols, p):
+    ideal, ideal_samples, snapped, snapped_samples = _ref_modulate(symbols, p)
+    w = chirp.modulate_ideal(symbols, p)
+    assert np.array_equal(w.toggle_instants, ideal), (p, list(symbols))
+    assert np.array_equal(w.samples, ideal_samples), (p, list(symbols))
+    q = chirp.modulate_quantized(symbols, p)
+    assert np.array_equal(q.toggle_instants, snapped), (p, list(symbols))
+    assert np.array_equal(q.samples, snapped_samples), (p, list(symbols))
+
+
+# At 1 and 4 MHz some symbols' t_wrap**2 (C pow) differs from t_wrap * t_wrap
+# in the last bit, which moves their toggle instants.
+@pytest.mark.parametrize("sf,fosc", [(sf, 32768) for sf in range(5, 11)] + [(5, 1e6), (7, 4e6)])
+def test_synthesis_matches_reference_on_every_symbol(sf, fosc):
+    # ascending chunks of 32 symbols, as criterion 4 sends them
+    p = chirp.derive_params(sf, fosc, fs_hz=fosc)
+    for start in range(0, p.n_bins, 32):
+        _assert_matches_reference(np.arange(start, min(start + 32, p.n_bins)), p)
+
+
+@pytest.mark.parametrize("fs", ["fosc", "16bw"])
+@pytest.mark.parametrize("sf", [5, 7, 9])
+def test_synthesis_matches_reference_on_random_sequences(sf, fs):
+    p = chirp.derive_params(sf, 32768, fs_hz=32768 if fs == "fosc" else None)
+    rng = np.random.default_rng(100 + sf)
+    for _ in range(4):
+        s = rng.integers(0, p.n_bins, 48)
+        s[4:9] = s[4]  # repeats continue the phase of the one before
+        s[12:24] = np.sort(s[12:24])[::-1]  # a descending run
+        _assert_matches_reference(s, p)
+
+
+def test_synthesis_matches_reference_on_every_transition_into_zero():
+    # the coincident-pair seam: sf 6, 50 -> 0 solves one crossing on each side
+    p = chirp.derive_params(6, 32768, fs_hz=32768)
+    for a in range(p.n_bins):
+        _assert_matches_reference([a, 0], p)
+
+
+@pytest.mark.parametrize("fs", [3.0, 32768.0, 44100.7, 48000.0])
+def test_render_matches_reference_on_and_beside_sample_instants(fs):
+    n = 200
+    on = np.arange(1, n) / fs  # a toggle exactly on k/fs flips sample k
+    for toggles in (on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf), on[::7]):
+        for initial in (0, 1):
+            got = chirp._render_from_toggles(toggles, initial, n, fs)
+            assert np.array_equal(got, _ref_render(toggles, initial, n, fs))
+    assert list(chirp._render_from_toggles(on[[4]], 1, n, fs)[4:7]) == [1.0, 0.0, 0.0]
+
+
+def test_render_ignores_toggles_past_the_last_sample():
+    toggles = np.array([2.5, 9.0, 10.0, 12.0, 15.0])
+    got = chirp._render_from_toggles(toggles, 1, 10, 1.0)
+    assert np.array_equal(got, _ref_render(toggles, 1, 10, 1.0))
+    assert np.array_equal(got, [1, 1, 1, 0, 0, 0, 0, 0, 0, 1])
+    # snapped toggles can land past n/fs: the quantizer renders them the same way
+    p = chirp.derive_params(5, 32768, fs_hz=32768)
+    w = chirp.modulate_ideal([31], p)
+    late = len(w) / p.fs_hz + 1.5 * p.toggle_grid_s
+    w.toggle_instants = np.append(w.toggle_instants, [late, late + 2 * p.toggle_grid_s])
+    q = chirp.quantize_toggles(w, p.fosc_hz)
+    assert q.toggle_instants[-1] > len(w) / p.fs_hz
+    assert np.array_equal(q.samples, _ref_render(q.toggle_instants, 1, len(w), p.fs_hz))
+
+
+def test_render_without_toggles_holds_the_initial_level():
+    for initial in (0, 1):
+        got = chirp._render_from_toggles(np.empty(0), initial, 7, 4.0)
+        assert np.array_equal(got, np.full(7, float(initial)))
+
+
+@pytest.mark.parametrize("kind", ["square-ideal", "square-quantized"])
+@pytest.mark.parametrize("sf", [5, 7, 9])
+def test_square_templates_equal_the_per_symbol_public_path(sf, kind):
+    p = chirp.derive_params(sf, 32768, fs_hz=32768)
+    ref = np.empty((p.n_bins, p.samples_per_symbol))
+    for s in range(p.n_bins):
+        w = chirp.modulate_ideal([s], p)
+        if kind == "square-quantized":
+            w = chirp.quantize_toggles(w, p.fosc_hz)
+        ref[s] = w.samples
+    ref = ref - ref.mean(axis=1, keepdims=True)
+    ref = ref / np.sqrt(np.mean(np.abs(ref) ** 2, axis=1, keepdims=True))
+    assert np.array_equal(harness.BerEngine(p, kind).templates, ref)

@@ -130,6 +130,21 @@ def test_truncated_waveform_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "row",
+    [b"1,abc", b"0,1.0,2", b"x,1.0", b"1", b"1,\xff\xfe"],
+    ids=["value", "three-fields", "index", "one-field", "not-utf8"],
+)
+def test_csv_waveform_with_a_bad_row_exits_2(row, tmp_path, capsys):
+    wav = tmp_path / "bad.csv"
+    wav.write_bytes(b"sample_index,value\n0,1.0\n" + row + b"\n")
+    code = main(["demodulate", "--sf", "5", "--fosc", "32768", "--fs", "32768", "--in", str(wav)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and "line 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["params", "--fosc", "nan"],

@@ -1,13 +1,16 @@
 """Property-based invariants across the library."""
 
+import io
 import math
+import struct
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsn import channel, chirp, powersim, rxdsp
-from rfsn.waveform import KIND_ANALOG, Waveform
+from rfsn.errors import RfsnError
+from rfsn.waveform import KIND_ANALOG, KIND_BINARY, Waveform
 
 
 @given(
@@ -32,6 +35,60 @@ def test_waveform_bytes_roundtrip(values):
     back = Waveform.from_bytes(w.to_bytes())
     assert np.array_equal(back.samples, x)
     assert back.fs_hz == 123.5
+
+
+# A waveform file with fuzzed header fields and f32 body, so every check is reached.
+_waveform_files = st.builds(
+    lambda version, kind, fs, body, tail: (
+        struct.pack("<4sHBxd", b"SQCH", version, kind, fs) + np.array(body, "<f4").tobytes() + tail
+    ),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 0, 255]),
+    st.one_of(st.sampled_from([math.nan, math.inf, 0.0]), st.floats()),
+    st.lists(st.floats(width=32, allow_nan=True, allow_infinity=True), max_size=8),
+    st.sampled_from([b"", b"\x00"]),
+)
+
+
+@given(st.one_of(st.binary(max_size=64), _waveform_files))
+@example(struct.pack("<4sHBxd", b"SQCH", 1, 1, math.nan))
+@example(struct.pack("<4sHBxd", b"SQCH", 1, 1, math.inf))
+@example(struct.pack("<4sHBxd", b"SQCH", 1, 0, 8.0) + b"\x00\x00\xc0\x7f")
+@settings(max_examples=300, deadline=None)
+def test_fuzz_waveform_from_bytes_returns_a_waveform_or_raises_rfsn_error(blob):
+    try:
+        w = Waveform.from_bytes(blob)
+    except RfsnError:
+        return
+    assert 0 < w.fs_hz < math.inf
+    assert len(w) == (len(blob) - 16) // 4
+
+
+# CSV text made of plausible and broken cells, so rows reach the row parser.
+_csv_cells = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "1.0", "nan", "1e999", "x", "abc", "", " "]),
+    st.text(max_size=4),
+)
+_csv_texts = st.one_of(
+    st.text(max_size=60),
+    st.builds(
+        lambda rows: "sample_index,value\n" + "\n".join(",".join(r) for r in rows),
+        st.lists(st.lists(_csv_cells, min_size=1, max_size=3), max_size=4),
+    ),
+)
+
+
+@given(_csv_texts, st.sampled_from([KIND_ANALOG, KIND_BINARY]))
+@example("sample_index,value\n0,1.0\n1,abc\n", KIND_ANALOG)
+@example("sample_index,value\n0,1.0,2\n", KIND_ANALOG)
+@example("sample_index,value\nx,1.0\n", KIND_ANALOG)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_waveform_from_csv_returns_a_waveform_or_raises_rfsn_error(text, kind):
+    try:
+        w = Waveform.from_csv(io.StringIO(text), 1000.0, kind)
+    except RfsnError:
+        return
+    assert isinstance(w, Waveform) and w.kind == kind
 
 
 @given(st.integers(0, 1000), st.integers(1, 1000))

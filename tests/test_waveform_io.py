@@ -76,3 +76,15 @@ def test_complex_samples_cannot_serialize():
         w.to_bytes()
     with pytest.raises(ConfigurationError):
         w.to_csv(io.StringIO())
+
+
+def test_csv_bytes_are_pinned():
+    # the shortest repr that round-trips each float64, denormals included
+    w = Waveform(np.array([0.0, 1.0, 0.1, 1 / 3, -1e-300, 5e-324]), 10.0, KIND_ANALOG)
+    buf = io.StringIO()
+    w.to_csv(buf)
+    assert buf.getvalue() == (
+        "sample_index,value\n0,0.0\n1,1.0\n2,0.1\n3,0.3333333333333333\n4,-1e-300\n5,5e-324\n"
+    )
+    buf.seek(0)
+    assert np.array_equal(Waveform.from_csv(buf, 10.0).samples, w.samples)
