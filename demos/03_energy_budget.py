@@ -22,9 +22,9 @@ print("charge to %.1f V at %.1f dBm: %.1f s"
 # sleeps until the cap recovers. With no harvesting during transmit, the
 # 2.6 -> 2.3 V energy window holds exactly four packets.
 trace = powersim.run_active_fsm(
-    powersim.ActiveNodeFSM(), powersim.Capacitor.at_voltage(1e-3, 0.0),
+    powersim.ActiveNodeFSM(), powersim.Capacitor(1e-3),
     10.0, h, powersim.LeakageCurve.default_with_startup(),
-    duration_s=60.0, dt_s=1e-3, harvest_while_transmitting=False)
+    duration_s=60.0, harvest_while_transmitting=False)
 sleeps = sum(1 for _, kind, _ in trace.events if kind == "sleep")
 window_j = powersim.Capacitor(1e-3).energy_at(2.6) - powersim.Capacitor(1e-3).energy_at(2.3)
 print("\n2.6 -> 2.3 V window holds %.0f packets of %.0f uJ each"
@@ -36,8 +36,8 @@ print("energy ledger residual: %.2e J (conservation check)"
 
 # --- Passive mode: no boot, just a duty-cycled LC receiver ------------------
 st = powersim.passive_steady_state(
-    powersim.PassiveNodeModel(), fosc_hz=32768.0, vdd_volts=1.8,
-    pr_dbm=-6.0, h=powersim.HarvesterModel.default_passive())
+    fosc_hz=32768.0, vdd_volts=1.8, pr_dbm=-6.0,
+    h=powersim.HarvesterModel.default_passive())
 print("\npassive node at -6 dBm, 32.768 kHz clock, 1.8 V:")
 print("  harvested %.2f uW vs %.2f uW active draw -> duty cycle %.1f%%"
       % (st.p_harvest_w * 1e6, st.p_op_w * 1e6, st.duty_cycle * 100))

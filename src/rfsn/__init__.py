@@ -34,7 +34,6 @@ from .powersim import (
     Capacitor,
     HarvesterModel,
     LeakageCurve,
-    PassiveNodeModel,
     SimTrace,
     euler_step,
     min_startup_incident_power,

@@ -168,12 +168,10 @@ class WBurstModel:
         if self.amplitude_scale < 0:
             raise ConfigurationError("amplitude_scale must be non-negative")
 
-    def arrival_times(
-        self, t_start_s: float, t_end_s: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Poisson arrivals with rate 1/mean_interval over [t_start, t_end)."""
+    def arrival_times(self, t_end_s: float, rng: np.random.Generator) -> np.ndarray:
+        """Poisson arrivals with rate 1/mean_interval over [0, t_end)."""
         times = []
-        t = t_start_s
+        t = 0.0
         while True:
             t += rng.exponential(self.mean_interval_s)
             if t >= t_end_s:

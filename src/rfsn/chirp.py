@@ -39,8 +39,11 @@ class ChirpParams:
     def __post_init__(self) -> None:
         if not SF_MIN <= self.sf <= SF_MAX:
             raise ConfigurationError(f"sf must lie in [{SF_MIN}, {SF_MAX}], got {self.sf}")
-        if self.bw_hz <= 0 or self.fosc_hz <= 0 or self.fs_hz <= 0:
-            raise ConfigurationError("bw_hz, fosc_hz and fs_hz must all be positive")
+        if not all(0 < f < np.inf for f in (self.bw_hz, self.fosc_hz, self.fs_hz)):
+            raise ConfigurationError(
+                f"bw_hz, fosc_hz and fs_hz must all be positive and finite, got "
+                f"{self.bw_hz}, {self.fosc_hz} and {self.fs_hz}"
+            )
         if self.bw_hz > self.fosc_hz / MIN_CLOCKS_PER_PERIOD * (1 + 1e-12):
             raise ConfigurationError(
                 f"bandwidth infeasible: bw={self.bw_hz} Hz exceeds fosc/8="
@@ -127,11 +130,11 @@ def _phase_terms(symbol, p: ChirpParams, t):
     return ramp, 2 * np.pi * p.bw_hz * np.clip(t - t_wrap, 0.0, None)
 
 
-def symbol_phase(symbol: int, p: ChirpParams, t: np.ndarray, phi0: float = 0.0) -> np.ndarray:
-    """Accumulated phase 2*pi*integral(f) of one symbol at times t (seconds)."""
+def symbol_phase(symbol: int, p: ChirpParams, t: np.ndarray) -> np.ndarray:
+    """Accumulated phase 2*pi*integral(f) of one symbol from phase 0 at times t (seconds)."""
     _check_symbol(symbol, p)
     ramp, wrap = _phase_terms(symbol, p, np.asarray(t, dtype=np.float64))
-    return phi0 + ramp - wrap
+    return ramp - wrap
 
 
 def _py_squares(x: np.ndarray) -> np.ndarray:

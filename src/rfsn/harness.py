@@ -55,9 +55,6 @@ class ExperimentConfig:
     n_symbols: int = 20000
     base_seed: int = 1234
     bursts_enabled: bool = False
-    burst_period_s: float = channel.W_BURST_PERIOD_S
-    burst_duration_s: float = channel.W_BURST_DURATION_S
-    burst_amplitude_scale: float = channel.W_BURST_AMPLITUDE_SCALE
     # charge-sweep knobs
     charge_variant: str = "passive"  # passive | active
     capacitance_f: float = powersim.DEFAULT_PASSIVE_CAP_F
@@ -69,16 +66,11 @@ class ExperimentConfig:
     anchor_ber: float = 0.162
     n_symbols_calibration: int = 30000
 
-    def burst_model(self) -> channel.WBurstModel:
-        return channel.WBurstModel(
-            self.burst_period_s, self.burst_duration_s, self.burst_amplitude_scale
-        )
-
     def validate(self) -> None:
         """Raise one ConfigurationError naming every problem with this config.
 
-        The chirp, burst and capacitor settings are checked by building the
-        objects that own those checks.
+        The chirp and capacitor settings are checked by building the objects
+        that own those checks.
         """
         problems = []
         for f in fields(self):
@@ -89,7 +81,6 @@ class ExperimentConfig:
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
         for build in (
             lambda: _engine_params(self),
-            self.burst_model,
             lambda: powersim.Capacitor(self.capacitance_f),
         ):
             try:
@@ -106,6 +97,10 @@ class ExperimentConfig:
             problems.append("sweep_values is empty")
         if self.n_symbols < 1:
             problems.append(f"n_symbols={self.n_symbols} must be >= 1")
+        if self.n_symbols_calibration < 1:
+            problems.append(f"n_symbols_calibration={self.n_symbols_calibration} must be >= 1")
+        if self.base_seed < 0:
+            problems.append(f"base_seed={self.base_seed} must be >= 0")
         if self.charge_variant not in ("passive", "active"):
             problems.append(f"charge_variant={self.charge_variant!r} not passive/active")
         if not 0 < self.dt_s <= 1e-3:
@@ -332,7 +327,7 @@ class BerEngine:
         hit = np.empty(0, dtype=np.int64)
         if bursts is not None and bursts.amplitude_scale > 0:
             span_s = n_symbols * p.samples_per_symbol / p.fs_hz
-            arrivals = bursts.arrival_times(0.0, span_s, np.random.default_rng(streams[-1]))
+            arrivals = bursts.arrival_times(span_s, np.random.default_rng(streams[-1]))
             hit = self._burst_symbols(bursts, arrivals, n_symbols)
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
@@ -386,8 +381,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Monte-Carlo BER across the configured sweep axis, one seeded row per point."""
     cfg.validate()
     table = channel.IncidentPowerTable.default()
-    burst_model = cfg.burst_model()
-    bursts = burst_model if cfg.bursts_enabled else None
+    bursts = channel.WBurstModel() if cfg.bursts_enabled else None
     point = SWEEP_AXES[cfg.sweep_axis]
     rows = []
     engines: dict[float, BerEngine] = {}
@@ -413,7 +407,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                 ber=res.ber,
                 wilson95=res.wilson_95_halfwidth,
                 theory_pb=rxdsp.ber_theory(snr, cfg.sf),
-                interference_es=channel.interference_symbol_error_rate(p.ds_s, burst_model),
+                interference_es=channel.interference_symbol_error_rate(p.ds_s),
                 runtime_s=time.perf_counter() - t0,
             )
         )
@@ -439,7 +433,7 @@ def charge_models(cfg: ExperimentConfig) -> tuple[powersim.HarvesterModel, power
         )
     return (
         powersim.HarvesterModel.default_passive().with_scale(cfg.efficiency_scale),
-        powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep"),
+        powersim.LeakageCurve.constant(powersim.P_SLEEP_W),
     )
 
 
@@ -479,7 +473,7 @@ def fit_passive_efficiency_scale() -> float:
     cap to V_MIN at PASSIVE_ANCHOR_PR_DBM in exactly PASSIVE_ANCHOR_TIME_S.
     """
     base = powersim.HarvesterModel.default_passive()
-    leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep")
+    leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
 
     def t_of(scale: float) -> float:
         c = powersim.Capacitor(powersim.DEFAULT_PASSIVE_CAP_F)
@@ -523,7 +517,6 @@ def run_theory_report(cfg: ExperimentConfig) -> list[TheoryRow]:
     table = channel.IncidentPowerTable.default()
     pr = table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm)
     ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
-    burst_model = cfg.burst_model()
     rows = []
     for fosc in TABLE_CLOCKS_HZ:
         p = chirp.derive_params(cfg.sf, fosc)
@@ -536,7 +529,7 @@ def run_theory_report(cfg: ExperimentConfig) -> list[TheoryRow]:
                 rd_bps=p.rd_bps,
                 snr_db=10.0 * math.log10(snr) if snr > 0 else -math.inf,
                 pb=rxdsp.ber_theory(snr, cfg.sf),
-                interference_es=channel.interference_symbol_error_rate(p.ds_s, burst_model),
+                interference_es=channel.interference_symbol_error_rate(p.ds_s),
             )
         )
     return rows

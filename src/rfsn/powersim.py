@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +21,9 @@ E_BOOT_J = 1.68e-3  # radio + stack bring-up cost
 E_PACKET_J = 177e-6  # one 105-byte MSDU transmission
 MSDU_BYTES = 105
 PACKET_TIME_S = 1e-3
+
+# Euler step of run_active_fsm's charge and sleep phases.
+FSM_DT_S = 1e-3
 
 P_SLEEP_W = 36e-9  # deep-sleep draw of the passive (backscatter) node
 
@@ -48,10 +50,6 @@ class Capacitor:
             raise ConfigurationError(f"capacitance must be positive, got {self.capacitance_f}")
         if self.energy_j < 0:
             raise ConfigurationError(f"stored energy cannot be negative, got {self.energy_j}")
-
-    @classmethod
-    def at_voltage(cls, capacitance_f: float, v_volts: float) -> "Capacitor":
-        return cls(capacitance_f, 0.5 * capacitance_f * v_volts**2)
 
     @property
     def v_volts(self) -> float:
@@ -165,7 +163,6 @@ class LeakageCurve:
     """
 
     points: tuple[tuple[float, float], ...]
-    variant: str = "custom"
     # knot voltages and log powers built once: power_w runs on every Euler step
     _volts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _log_powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -187,15 +184,15 @@ class LeakageCurve:
 
     @classmethod
     def default_without_startup(cls) -> "LeakageCurve":
-        return cls(((0.0, 1e-7), (0.6, 3.1e-6), (1.8, 2.1e-3)), "without_startup")
+        return cls(((0.0, 1e-7), (0.6, 3.1e-6), (1.8, 2.1e-3)))
 
     @classmethod
     def default_with_startup(cls) -> "LeakageCurve":
-        return cls(((0.0, 5e-8), (0.6, 1.0e-6), (1.8, 6.1e-5)), "with_startup")
+        return cls(((0.0, 5e-8), (0.6, 1.0e-6), (1.8, 6.1e-5)))
 
     @classmethod
-    def constant(cls, power_w: float, variant: str = "constant") -> "LeakageCurve":
-        return cls(((0.0, power_w),), variant)
+    def constant(cls, power_w: float) -> "LeakageCurve":
+        return cls(((0.0, power_w),))
 
     def power_w(self, v_volts: float) -> float:
         # np.exp, not math.exp: the two differ in the last bit for some inputs
@@ -298,20 +295,8 @@ class SimTrace:
             self.harvested_j - self.consumed_j
         )
 
-    def to_csv(self, path) -> None:
-        # every packet of one run carries the same MSDU
-        packet_bytes = self.bytes_sent // self.packets_sent if self.packets_sent else 0
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_s", "event", "v", "packets_cum", "bytes_cum"])
-            packets = 0
-            for t, kind, v in self.events:
-                if kind == "packet":
-                    packets += 1
-                w.writerow([repr(t), kind, repr(v), packets, packets * packet_bytes])
 
-
-COLD, BOOTING, TRANSMITTING, SLEEPING, DEAD = "cold", "booting", "transmitting", "sleeping", "dead"
+COLD, TRANSMITTING, SLEEPING = "cold", "transmitting", "sleeping"
 
 
 def run_active_fsm(
@@ -321,18 +306,20 @@ def run_active_fsm(
     h: HarvesterModel,
     leak: LeakageCurve,
     duration_s: float = 60.0,
-    dt_s: float = 1e-3,
+    *,
     harvest_while_transmitting: bool = True,
 ) -> SimTrace:
     """Duty-cycle simulation of the active node at constant incident power.
 
     Cold-charges to v_start, pays the boot cost, then alternates transmit
     bursts (packets sent back-to-back while the budget allows dropping no
-    lower than v_sleep) with recharge sleeps up to v_wake.
+    lower than v_sleep) with recharge sleeps up to v_wake.  Charge and sleep
+    steps last FSM_DT_S, packet steps one packet time.
     """
-    if dt_s <= 0:
-        raise ConfigurationError("dt must be positive")
     p_in = h.harvested_power_w(pr_dbm)
+    pin_tx = p_in if harvest_while_transmitting else 0.0
+    pt = fsm.packet_time_s
+    dt = FSM_DT_S
     cap = c.capacitance_f
     e = c.energy_j
     v = c.v_volts
@@ -344,55 +331,41 @@ def run_active_fsm(
     e_sleep = c.energy_at(fsm.v_sleep)
 
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
-    while t < duration_s and state != DEAD:
-        if state in (COLD, SLEEPING):
-            e, got, used = euler_step(e, p_in, leak.power_w(v), dt_s)
-            v = math.sqrt(2.0 * e / cap)
-            harvested += got
-            consumed += used
-            t += dt_s
-            threshold = fsm.v_start if state == COLD else fsm.v_wake
-            if v >= threshold:
-                if state == COLD:
-                    # boot is an impulse: the whole bring-up cost at once
-                    e, got, used = euler_step(e, 0.0, fsm.e_boot_j / dt_s, dt_s)
-                    v = math.sqrt(2.0 * e / cap)
-                    harvested += got
-                    consumed += used
-                    trace.log(t, "boot", v)
-                    if v < fsm.v_min:
-                        state = DEAD
-                        t += dt_s
-                        trace.log(t, "dead", v)
-                        continue
-                else:
-                    trace.log(t, "wake", v)
-                state = TRANSMITTING
-        elif state == TRANSMITTING:
-            pin_tx = p_in if harvest_while_transmitting else 0.0
-            pt = fsm.packet_time_s
-            gain = pin_tx * pt
-            drain = leak.power_w(v) * pt + fsm.e_packet_j
-            if e + gain - drain >= e_sleep and t + pt <= duration_s:
-                e, got, used = euler_step(e, pin_tx, drain / pt, pt)
-                v = math.sqrt(2.0 * e / cap)
-                harvested += got
-                consumed += used
-                t += pt
-                trace.packets_sent += 1
-                trace.bytes_sent += fsm.msdu_bytes
-                trace.log(t, "packet", v)
+    while t < duration_s:
+        p_step, p_out, step, event = p_in, leak.power_w(v), dt, None
+        if state == TRANSMITTING:
+            drain = p_out * pt + fsm.e_packet_j
+            if e + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
+                p_step, p_out, step, event = pin_tx, drain / pt, pt, "packet"
             else:
-                # take the first recharge step before logging so every event
-                # timestamp is strictly later than the last packet's
-                state = SLEEPING
-                e, got, used = euler_step(e, p_in, leak.power_w(v), dt_s)
+                # the first recharge step comes before the log, so every
+                # event timestamp is strictly later than the last packet's
+                state, event = SLEEPING, "sleep"
+        e, got, used = euler_step(e, p_step, p_out, step)
+        v = math.sqrt(2.0 * e / cap)
+        harvested += got
+        consumed += used
+        t += step
+        if event is not None:
+            if event == "packet":
+                trace.packets_sent += 1
+            trace.log(t, event, v)
+        elif v >= (fsm.v_start if state == COLD else fsm.v_wake):
+            if state == COLD:
+                # boot is an impulse: the whole bring-up cost at once
+                e, got, used = euler_step(e, 0.0, fsm.e_boot_j / dt, dt)
                 v = math.sqrt(2.0 * e / cap)
                 harvested += got
                 consumed += used
-                t += dt_s
-                trace.log(t, "sleep", v)
+                trace.log(t, "boot", v)
+                if v < fsm.v_min:
+                    trace.log(t + dt, "dead", v)
+                    break
+            else:
+                trace.log(t, "wake", v)
+            state = TRANSMITTING
 
+    trace.bytes_sent = trace.packets_sent * fsm.msdu_bytes
     trace.harvested_j = harvested
     trace.consumed_j = consumed
     trace.final_energy_j = e
@@ -414,33 +387,6 @@ PASSIVE_OP_POWER_TABLE_W: dict[tuple[float, float], float] = {
 
 
 @dataclass(frozen=True)
-class PassiveNodeModel:
-    """Power model of the backscatter node: measured operating draw + sleep floor."""
-
-    p_op_by_clock: dict[tuple[float, float], float] = field(
-        default_factory=lambda: dict(PASSIVE_OP_POWER_TABLE_W)
-    )
-    p_sleep_w: float = P_SLEEP_W
-
-    def __post_init__(self) -> None:
-        for vdd in {k[1] for k in self.p_op_by_clock}:
-            col = sorted((f, p) for (f, v), p in self.p_op_by_clock.items() if v == vdd)
-            if any(b[1] <= a[1] for a, b in zip(col, col[1:])):
-                raise ConfigurationError(
-                    f"operating power must increase with fosc at {vdd} V"
-                )
-
-    def operating_power_w(self, fosc_hz: float, vdd_volts: float) -> float:
-        key = (fosc_hz, vdd_volts)
-        if key not in self.p_op_by_clock:
-            raise ConfigurationError(
-                f"no measured operating power for fosc={fosc_hz} Hz at {vdd_volts} V; "
-                f"known points: {sorted(self.p_op_by_clock)}"
-            )
-        return self.p_op_by_clock[key]
-
-
-@dataclass(frozen=True)
 class PassiveSteadyState:
     p_harvest_w: float
     p_op_w: float
@@ -450,17 +396,23 @@ class PassiveSteadyState:
 
 
 def passive_steady_state(
-    pm: PassiveNodeModel,
-    fosc_hz: float,
-    vdd_volts: float,
-    pr_dbm: float,
-    h: HarvesterModel,
+    fosc_hz: float, vdd_volts: float, pr_dbm: float, h: HarvesterModel
 ) -> PassiveSteadyState:
-    """Harvest-vs-draw budget for the backscatter node at one clock/supply point."""
+    """Harvest-vs-draw budget for the backscatter node at one clock/supply point.
+
+    The draw is the measured PASSIVE_OP_POWER_TABLE_W entry, with a P_SLEEP_W
+    floor between active bursts.
+    """
+    key = (fosc_hz, vdd_volts)
+    if key not in PASSIVE_OP_POWER_TABLE_W:
+        raise ConfigurationError(
+            f"no measured operating power for fosc={fosc_hz} Hz at {vdd_volts} V; "
+            f"known points: {sorted(PASSIVE_OP_POWER_TABLE_W)}"
+        )
     p_h = h.harvested_power_w(pr_dbm)
-    p_op = pm.operating_power_w(fosc_hz, vdd_volts)
-    if p_h <= pm.p_sleep_w:
+    p_op = PASSIVE_OP_POWER_TABLE_W[key]
+    if p_h <= P_SLEEP_W:
         duty = 0.0
     else:
-        duty = min(1.0, (p_h - pm.p_sleep_w) / (p_op - pm.p_sleep_w))
+        duty = min(1.0, (p_h - P_SLEEP_W) / (p_op - P_SLEEP_W))
     return PassiveSteadyState(p_h, p_op, p_h - p_op, duty, sustainable=p_h >= p_op)

@@ -63,17 +63,9 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.fs_hz
-
     def mean_removed(self) -> np.ndarray:
         """Samples with exact block mean subtracted (the DC-blocker model)."""
         return self.samples - self.samples.mean()
-
-    def power(self) -> float:
-        """Mean-square sample power."""
-        return float(np.mean(np.abs(self.samples) ** 2))
 
     # -- CSV ----------------------------------------------------------------
 

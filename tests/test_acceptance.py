@@ -60,7 +60,7 @@ def _burst_overlap_oracle(ds_s: float, n_symbols: int, seed: int) -> float:
     """
     m = channel.WBurstModel()
     rng = np.random.default_rng(seed)
-    arrivals = m.arrival_times(0.0, n_symbols * ds_s, rng)
+    arrivals = m.arrival_times(n_symbols * ds_s, rng)
     span = math.ceil(m.duration_s / ds_s)
     hit = np.zeros(n_symbols, dtype=bool)
     k0 = np.floor(arrivals / ds_s).astype(np.int64)
@@ -171,7 +171,7 @@ def test_criterion_6_startup_power_threshold_and_reachability():
 def test_criterion_7_charge_time_brackets():
     scale = harness.fit_passive_efficiency_scale()  # one-point anchor fit
     h_p = powersim.HarvesterModel.default_passive().with_scale(scale)
-    leak_p = powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep")
+    leak_p = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     t_passive = powersim.time_to_voltage(
         powersim.Capacitor(22e-6), 1.8, -8.1, h_p, leak_p, dt_s=5e-4
     )
@@ -340,7 +340,7 @@ def test_criterion_9_bandwidth_ordering_under_bursts():
 
 def test_criterion_10_energy_ledger_and_packet_window():
     fsm = powersim.ActiveNodeFSM()
-    cap = powersim.Capacitor.at_voltage(1e-3, 0.0)
+    cap = powersim.Capacitor(1e-3)
     trace = powersim.run_active_fsm(
         fsm,
         cap,

@@ -96,7 +96,7 @@ def test_wburst_model_validation():
 def test_arrival_times_poisson_rate():
     m = channel.WBurstModel()
     rng = np.random.default_rng(11)
-    arrivals = m.arrival_times(0.0, 5000.0, rng)
+    arrivals = m.arrival_times(5000.0, rng)
     rate = len(arrivals) / 5000.0
     assert rate == pytest.approx(1 / m.mean_interval_s, rel=0.05)
     assert np.all(np.diff(arrivals) > 0)
@@ -106,7 +106,7 @@ def test_inject_w_bursts_touches_only_logged_windows():
     fs = 32768.0
     x = np.zeros(32768 * 4)
     m = channel.WBurstModel()
-    arrivals = m.arrival_times(0.0, len(x) / fs, np.random.default_rng(3))
+    arrivals = m.arrival_times(len(x) / fs, np.random.default_rng(3))
     channel.add_w_bursts(x, m, arrivals, 0.0, fs, 1.0)
     assert len(arrivals) > 0
     mask = np.zeros(len(x), dtype=bool)
@@ -122,7 +122,7 @@ def test_inject_w_bursts_touches_only_logged_windows():
 def test_inject_w_bursts_zero_scale_keeps_log():
     x = np.zeros(32768)
     m = channel.WBurstModel(amplitude_scale=0.0)
-    arrivals = m.arrival_times(0.0, 1.0, np.random.default_rng(3))
+    arrivals = m.arrival_times(1.0, np.random.default_rng(3))
     channel.add_w_bursts(x, m, arrivals, 0.0, 32768.0, 1.0)
     assert not x.any()
     assert len(arrivals) > 0  # the arrivals stay for bookkeeping

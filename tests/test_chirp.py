@@ -77,6 +77,12 @@ def test_symbol_phase_is_nondecreasing_and_matches_frequency():
     assert np.mean(ok) > 0.99  # only samples straddling the wrap may differ
 
 
+def _phase_from(symbol, p, t, phi0):
+    """One symbol's phase from start phase phi0, summed as modulate_ideal chains it."""
+    ramp, wrap = chirp._phase_terms(symbol, p, np.asarray(t, dtype=np.float64))
+    return phi0 + ramp - wrap
+
+
 def test_modulate_ideal_is_binary_and_matches_phase_threshold():
     # sf 6, 50 -> 0 puts a phase crossing on the symbol boundary, solved once
     # on each side of it
@@ -91,9 +97,9 @@ def test_modulate_ideal_is_binary_and_matches_phase_threshold():
         ref = []
         for s in syms:
             t = np.arange(m) / p.fs_hz
-            phi = chirp.symbol_phase(s, p, t, phi0)
+            phi = _phase_from(s, p, t, phi0)
             ref.append((np.mod(phi / (2 * np.pi), 1.0) < 0.5).astype(float))
-            phi0 = float(chirp.symbol_phase(s, p, np.array([p.ds_s]), phi0)[0]) % (
+            phi0 = float(_phase_from(s, p, np.array([p.ds_s]), phi0)[0]) % (
                 2 * np.pi
             )
         ref = np.concatenate(ref)
@@ -210,7 +216,7 @@ def _ref_modulate(symbols, p):
     toggles = []
     for i, s in enumerate(symbols):
         toggles.append(i * p.ds_s + _ref_symbol_toggle_instants(int(s), p, phi0))
-        phi0 = float(chirp.symbol_phase(int(s), p, np.array([p.ds_s]), phi0)[0]) % (2 * np.pi)
+        phi0 = float(_phase_from(int(s), p, np.array([p.ds_s]), phi0)[0]) % (2 * np.pi)
     ideal = chirp._drop_coincident_pairs(np.concatenate(toggles), p.bw_hz)
     n = p.samples_per_symbol * len(symbols)
     snapped = _ref_snap(ideal, chirp.CYCLES_PER_TOGGLE / p.fosc_hz)

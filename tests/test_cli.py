@@ -161,6 +161,28 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
     assert "invalid finite_float value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["params", "--sf", "7", "--fosc", "1e308"], None),  # fs = 16*bw overflows to inf
+        (["ber-sweep", "--seed", "-1"], None),
+        (["ber-sweep"], "base_seed = -2\n"),
+        (["calibrate"], "n_symbols_calibration = -5\n"),
+    ],
+    ids=["overflowed-rate", "negative-seed-flag", "negative-seed-key", "negative-calibration-size"],
+)
+def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys):
+    if cfg_text is not None:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(cfg_text)
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+
+
 def _reject_constant(name):
     raise ValueError(f"JSON holds the non-standard constant {name}")
 

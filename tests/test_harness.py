@@ -196,7 +196,7 @@ def test_engine_burst_bins_match_the_time_domain_stream():
     eng = harness.BerEngine(p, "complex")
     bursts = channel.WBurstModel(mean_interval_s=0.05)
     n_symbols = 400
-    arrivals = bursts.arrival_times(0.0, n_symbols * p.ds_s, np.random.default_rng(5))
+    arrivals = bursts.arrival_times(n_symbols * p.ds_s, np.random.default_rng(5))
     want = _burst_stream_bins(eng, bursts, arrivals, 0.3, n_symbols)
     ks = eng._burst_symbols(bursts, arrivals, n_symbols)
     got = np.zeros_like(want)
@@ -247,7 +247,7 @@ def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts=None):
     amp = math.sqrt(ps_w)
     noise = channel.NoiseModel(n0)
     if bursts is not None:
-        arrivals = bursts.arrival_times(0.0, n_symbols * m / p.fs_hz, rng)
+        arrivals = bursts.arrival_times(n_symbols * m / p.fs_hz, rng)
     errors = 0
     for start in range(0, n_symbols, 1000):
         nb = min(1000, n_symbols - start)
@@ -369,7 +369,7 @@ def test_fit_passive_efficiency_scale_hits_anchor():
     scale = harness.fit_passive_efficiency_scale()
     assert 0.1 < scale < 1.0
     h = powersim.HarvesterModel.default_passive().with_scale(scale)
-    leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep")
+    leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     c = powersim.Capacitor(22e-6)
     t = powersim.time_to_voltage(c, 1.8, -2.3, h, leak, dt_s=5e-4)
     assert t == pytest.approx(0.9, abs=0.02)

@@ -16,7 +16,7 @@ CHARGE_SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "charge_swe
 # ----------------------------------------------------------------- capacitor
 
 def test_capacitor_energy_voltage_roundtrip():
-    c = powersim.Capacitor.at_voltage(1e-3, 3.2)
+    c = powersim.Capacitor(1e-3, powersim.Capacitor(1e-3).energy_at(3.2))
     assert c.energy_j == pytest.approx(0.5 * 1e-3 * 3.2**2)
     assert c.v_volts == pytest.approx(3.2)
     assert c.energy_at(1.8) == pytest.approx(0.5 * 1e-3 * 1.8**2)
@@ -145,7 +145,7 @@ def test_min_startup_power_never_when_out_of_reach():
 
 def _run_default(pr_dbm=0.0, duration_s=60.0):
     fsm = powersim.ActiveNodeFSM()
-    c = powersim.Capacitor.at_voltage(1e-3, 0.0)
+    c = powersim.Capacitor(1e-3)
     return powersim.run_active_fsm(
         fsm,
         c,
@@ -180,12 +180,21 @@ def test_fsm_event_vocabulary_and_order():
     assert kinds.index("boot") < kinds.index("sleep")
     assert tr.packets_sent > 0
     assert tr.bytes_sent == tr.packets_sent * powersim.MSDU_BYTES
+    small = powersim.run_active_fsm(
+        powersim.ActiveNodeFSM(msdu_bytes=50),
+        powersim.Capacitor(1e-3),
+        10.0,
+        powersim.HarvesterModel.default_active(),
+        powersim.LeakageCurve.default_with_startup(),
+        duration_s=20.0,
+    )
+    assert small.bytes_sent == 50 * small.packets_sent > 0
 
 
 def test_fsm_packets_per_window_closed_form():
     # no in-transmit harvest: floor((E(2.6 V) - E(2.3 V)) / E_packet) = 4
     fsm = powersim.ActiveNodeFSM()
-    c = powersim.Capacitor.at_voltage(1e-3, 0.0)
+    c = powersim.Capacitor(1e-3)
     tr = powersim.run_active_fsm(
         fsm,
         c,
@@ -206,73 +215,31 @@ def test_fsm_packets_per_window_closed_form():
     assert per_window == pytest.approx(want, abs=0.5)
 
 
-def test_fsm_rejects_nonpositive_dt():
-    # a float loop at dt 0 would never advance time
-    for dt in (0.0, -1e-3):
-        with pytest.raises(ConfigurationError):
-            powersim.run_active_fsm(
-                powersim.ActiveNodeFSM(),
-                powersim.Capacitor(1e-3),
-                0.0,
-                powersim.HarvesterModel.default_active(),
-                powersim.LeakageCurve.default_with_startup(),
-                duration_s=1.0,
-                dt_s=dt,
-            )
-
-
 def test_fsm_dies_without_power():
     tr = _run_default(pr_dbm=-30.0, duration_s=5.0)
     assert tr.packets_sent == 0
 
 
-def test_trace_csv(tmp_path):
-    small = powersim.run_active_fsm(
-        powersim.ActiveNodeFSM(msdu_bytes=50),
-        powersim.Capacitor(1e-3),
-        10.0,
-        powersim.HarvesterModel.default_active(),
-        powersim.LeakageCurve.default_with_startup(),
-        duration_s=20.0,
-    )
-    for tr in (_run_default(), small):
-        path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,event,v,packets_cum,bytes_cum"
-        assert len(lines) == len(tr.events) + 1
-        last = lines[-1].split(",")
-        assert int(last[3]) == tr.packets_sent
-        assert int(last[4]) == tr.bytes_sent
-    assert small.bytes_sent == 50 * small.packets_sent > 0
-
-
 # ------------------------------------------------------------- passive budget
 
 def test_passive_power_table_points():
-    pm = powersim.PassiveNodeModel()
-    assert pm.operating_power_w(32768, 1.8) == pytest.approx(9.3e-6)
-    assert pm.operating_power_w(1e6, 1.8) == pytest.approx(392e-6)
+    h = powersim.HarvesterModel.default_passive()
+    assert powersim.passive_steady_state(32768, 1.8, 0.0, h).p_op_w == pytest.approx(9.3e-6)
+    assert powersim.passive_steady_state(1e6, 1.8, 0.0, h).p_op_w == pytest.approx(392e-6)
     with pytest.raises(ConfigurationError):
-        pm.operating_power_w(3e6, 1.8)
-
-
-def test_passive_model_monotonicity_validated():
-    with pytest.raises(ConfigurationError):
-        powersim.PassiveNodeModel({(32768.0, 1.8): 1e-5, (1e6, 1.8): 1e-6})
+        powersim.passive_steady_state(3e6, 1.8, 0.0, h)
 
 
 def test_passive_steady_state_budget():
-    pm = powersim.PassiveNodeModel()
     h = powersim.HarvesterModel.default_passive()
-    st = powersim.passive_steady_state(pm, 32768, 1.8, 0.0, h)
+    st = powersim.passive_steady_state(32768, 1.8, 0.0, h)
     assert st.p_harvest_w == pytest.approx(h.harvested_power_w(0.0))
     assert st.p_op_w == pytest.approx(9.3e-6)
     assert st.margin_w == pytest.approx(st.p_harvest_w - st.p_op_w)
     assert st.sustainable == (st.margin_w >= 0)
     assert 0.0 <= st.duty_cycle <= 1.0
     # far below sensitivity nothing harvests
-    st2 = powersim.passive_steady_state(pm, 32768, 1.8, -40.0, h)
+    st2 = powersim.passive_steady_state(32768, 1.8, -40.0, h)
     assert st2.duty_cycle == 0.0 and not st2.sustainable
 
 
@@ -368,15 +335,15 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
-_CURVES = [
-    powersim.LeakageCurve.default_without_startup(),
-    powersim.LeakageCurve.default_with_startup(),
-    powersim.LeakageCurve.constant(powersim.P_SLEEP_W, "passive_sleep"),
-    powersim.LeakageCurve(((0.7, 2.5e-6),), "one_point"),
-]
+_CURVES = {
+    "without_startup": powersim.LeakageCurve.default_without_startup(),
+    "with_startup": powersim.LeakageCurve.default_with_startup(),
+    "passive_sleep": powersim.LeakageCurve.constant(powersim.P_SLEEP_W),
+    "one_point": powersim.LeakageCurve(((0.7, 2.5e-6),)),
+}
 
 
-@pytest.mark.parametrize("leak", _CURVES, ids=lambda c: c.variant)
+@pytest.mark.parametrize("leak", list(_CURVES.values()), ids=list(_CURVES))
 def test_leakage_power_bit_exact_against_np_interp(leak):
     rng = np.random.default_rng(7)
     knots = [v for v, _ in leak.points]
@@ -400,6 +367,28 @@ def test_time_to_voltage_bit_exact_on_charge_sweep_grid(variant, dt_s):
     assert any(math.isfinite(t) for t in got)
 
 
+def _assert_fsm_matches_oracle(cap_f, pr_dbm, harvest_tx, duration_s):
+    args = (
+        powersim.ActiveNodeFSM(),
+        powersim.Capacitor(cap_f),
+        pr_dbm,
+        powersim.HarvesterModel.default_active(),
+        powersim.LeakageCurve.default_with_startup(),
+        duration_s,
+    )
+    got = powersim.run_active_fsm(*args, harvest_while_transmitting=harvest_tx)
+    want = _ref_run_active_fsm(*args, 1e-3, harvest_tx)
+    assert got.events == want.events
+    assert (got.packets_sent, got.bytes_sent) == (want.packets_sent, want.bytes_sent)
+    assert (got.harvested_j, got.consumed_j, got.initial_energy_j, got.final_energy_j) == (
+        want.harvested_j,
+        want.consumed_j,
+        want.initial_energy_j,
+        want.final_energy_j,
+    )
+    return got
+
+
 @pytest.mark.parametrize(
     "cap_f, pr_dbm, harvest_tx",
     [
@@ -411,28 +400,23 @@ def test_time_to_voltage_bit_exact_on_charge_sweep_grid(variant, dt_s):
     ],
 )
 def test_run_active_fsm_bit_exact_against_object_stepping(cap_f, pr_dbm, harvest_tx):
-    args = (
-        powersim.ActiveNodeFSM(),
-        powersim.Capacitor(cap_f),
-        pr_dbm,
-        powersim.HarvesterModel.default_active(),
-        powersim.LeakageCurve.default_with_startup(),
-        30.0,
-        1e-3,
-        harvest_tx,
-    )
-    got = powersim.run_active_fsm(*args)
-    want = _ref_run_active_fsm(*args)
-    assert got.events == want.events
-    assert (got.packets_sent, got.bytes_sent) == (want.packets_sent, want.bytes_sent)
-    assert (got.harvested_j, got.consumed_j, got.initial_energy_j, got.final_energy_j) == (
-        want.harvested_j,
-        want.consumed_j,
-        want.initial_energy_j,
-        want.final_energy_j,
-    )
+    got = _assert_fsm_matches_oracle(cap_f, pr_dbm, harvest_tx, 30.0)
     if cap_f == 22e-6:
         assert [kind for _, kind, _ in got.events] == ["start", "boot", "dead"]
         assert got.final_energy_j == 0.0
     else:
         assert got.packets_sent > 0
+
+
+@pytest.mark.parametrize("harvest_tx", [True, False])
+def test_run_active_fsm_bit_exact_when_the_run_ends_on_an_edge(harvest_tx):
+    full = _assert_fsm_matches_oracle(1e-3, 10.0, harvest_tx, 30.0)
+    t_boot = next(t for t, kind, _ in full.events if kind == "boot")
+    # the run ends on the charge step that crosses v_start: the boot is logged
+    got = _assert_fsm_matches_oracle(1e-3, 10.0, harvest_tx, t_boot)
+    assert [kind for _, kind, _ in got.events] == ["start", "boot"]
+    # the run ends half a packet into a transmit burst: that packet is not sent
+    t_wake = next(t for t, kind, _ in full.events if kind == "wake")
+    pt = powersim.ActiveNodeFSM().packet_time_s
+    got = _assert_fsm_matches_oracle(1e-3, 10.0, harvest_tx, t_wake + 2.5 * pt)
+    assert [kind for _, kind, _ in got.events][-4:] == ["wake", "packet", "packet", "sleep"]

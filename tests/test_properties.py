@@ -1,15 +1,19 @@
 """Property-based invariants across the library."""
 
+import contextlib
+import dataclasses
 import io
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfsn import channel, chirp, powersim, rxdsp
-from rfsn.errors import RfsnError
+from rfsn import channel, chirp, cli, harness, powersim, rxdsp
+from rfsn.errors import ConfigurationError, RfsnError
 from rfsn.waveform import KIND_ANALOG, KIND_BINARY, Waveform
 
 
@@ -147,3 +151,72 @@ def test_burst_template_bounded_and_w_shaped(n):
     assert len(tpl) == n
     assert np.abs(tpl).max() <= 1.0 + 1e-12
     assert tpl[0] == 1.0 and tpl[-1] == 1.0
+
+
+# Config and flag values: numbers in and out of range, non-finite and
+# overflowing spellings, booleans, lists and junk.
+_values = st.one_of(
+    st.sampled_from(
+        ["0", "1", "-1", "-2", "-5", "7", "12", "99", "1e308", "1e999", "-1e308", "nan", "inf",
+         "0.5", "32768", "true", "off", "complex", "eirp_dbm", "22.1, 23", ",", "", "x"]
+    ),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+_config_keys = st.one_of(
+    st.sampled_from([f.name for f in dataclasses.fields(harness.ExperimentConfig)]),
+    st.text(max_size=6),
+)
+_config_texts = st.builds(
+    lambda pairs: "".join(f"{k} = {v}\n" for k, v in pairs),
+    st.lists(st.tuples(_config_keys, _values), max_size=5),
+)
+
+
+@given(_config_texts)
+@example("base_seed = -2\n")
+@example("n_symbols_calibration = -5\n")
+@example("fosc_hz = 1e308\n")
+@settings(max_examples=300, deadline=None)
+def test_fuzz_parse_config_returns_a_config_or_raises_configuration_error(text):
+    try:
+        cfg = harness.parse_config(text)
+    except ConfigurationError:
+        return
+    # a config that parses can seed a run of at least one symbol
+    np.random.SeedSequence(cfg.base_seed).spawn(1)
+    assert min(cfg.n_symbols, cfg.n_symbols_calibration) >= 1
+
+
+_cli_argv = st.one_of(
+    st.builds(
+        lambda flags: ["params"] + [a for pair in flags for a in pair],
+        st.lists(st.tuples(st.sampled_from(["--sf", "--fosc", "--fs", "--format"]), _values), max_size=3),
+    ),
+    st.builds(
+        lambda flags: ["theory"] + [a for pair in flags for a in pair],
+        st.lists(st.tuples(st.sampled_from(["--seed", "--format"]), _values), max_size=2),
+    ),
+)
+
+
+@given(_cli_argv, st.one_of(st.none(), _config_texts))
+@example(["params", "--sf", "7", "--fosc", "1e308"], None)
+@example(["theory", "--seed", "-1"], None)
+@example(["theory"], "n_symbols_calibration = -5\n")
+@settings(max_examples=150, deadline=None)
+def test_fuzz_cli_exits_0_2_or_3(argv, cfg_text):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
+        if cfg_text is not None and argv[0] == "theory":
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(cfg_text)
+            argv = argv + ["--config", str(cfg)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the flags themselves
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue()

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from rfsn import chirp
 from rfsn.errors import ConfigurationError
 from rfsn.waveform import KIND_ANALOG, KIND_BINARY, Waveform
 
@@ -21,8 +22,8 @@ def test_binary_kind_rejects_non_binary_samples():
 
 def test_duration_power_mean():
     w = Waveform(np.array([1.0, 1.0, 0.0, 0.0]), 4.0, KIND_BINARY)
-    assert w.duration_s == pytest.approx(1.0)
-    assert w.power() == pytest.approx(0.5)
+    assert len(w) == 4
+    assert chirp.spectrum(w).total_power == pytest.approx(0.5)  # mean-square power
     assert np.mean(w.mean_removed()) == pytest.approx(0.0)
 
 
