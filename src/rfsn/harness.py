@@ -26,8 +26,15 @@ TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 
 # Symbols per seed-stable chunk of BerEngine.run.  Each chunk draws from its
 # own SeedSequence child, so the chunks are independent of one another; the
-# size bounds the memory of one chunk and is part of the seeded stream.
+# size is part of the seeded stream.
 ENGINE_BATCH = 4096
+
+# Bytes of standard normals BerEngine.run draws and decides at once, which
+# bounds its memory: a chunk goes in row blocks of this size.  Sequential
+# draws from one generator give the stream of one draw, so the block size
+# changes no draw; BLAS may round the colouring of a block of a few rows
+# differently in the last bit.
+ENGINE_BLOCK_BYTES = 1 << 20
 
 # Composite-gain bracket (dB) searched by calibrate_composite_gain.
 CALIBRATION_BRACKET_DB = (-40.0, 120.0)
@@ -70,7 +77,9 @@ class ExperimentConfig:
         """Raise one ConfigurationError naming every problem with this config.
 
         The chirp and capacitor settings are checked by building the objects
-        that own those checks.
+        that own those checks, and the (EIRP, depth) points of the base and
+        of an eirp_dbm or depth_cm sweep by looking them up in the measured
+        incident-power table.
         """
         problems = []
         for f in fields(self):
@@ -79,9 +88,15 @@ class ExperimentConfig:
                 problems.append(f"{f.name}={v!r} is not finite")
             elif f.type == "list[float]" and not all(math.isfinite(x) for x in v):
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
+        table = channel.IncidentPowerTable.default()
+        grid_points = [lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm)]
+        if self.sweep_axis in ("eirp_dbm", "depth_cm"):
+            axis = SWEEP_AXES[self.sweep_axis]
+            grid_points += [lambda v=v: axis(self, table, v) for v in self.sweep_values]
         for build in (
             lambda: _engine_params(self),
             lambda: powersim.Capacitor(self.capacitance_f),
+            *grid_points,
         ):
             try:
                 build()
@@ -316,9 +331,10 @@ class BerEngine:
     ) -> rxdsp.BerResult:
         """Symbol and bit error rates of n_symbols random symbols.
 
-        Chunk c of ENGINE_BATCH symbols draws its symbols and noise from child
-        c of SeedSequence(seed); burst arrivals over the whole run come from
-        one more child, after the chunks'.
+        Chunk c of ENGINE_BATCH symbols draws its symbols, then its noise,
+        from child c of SeedSequence(seed); burst arrivals over the whole run
+        come from one more child, after the chunks'.  The noise is drawn and
+        decided in row blocks of at most ENGINE_BLOCK_BYTES.
         """
         p = self.p
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
@@ -331,20 +347,22 @@ class BerEngine:
             hit = self._burst_symbols(bursts, arrivals, n_symbols)
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
+        block = max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins))  # 2n float64 normals a row
         sent = np.empty(n_symbols, dtype=np.int64)
         detected = np.empty(n_symbols, dtype=np.int64)
         for c in range(n_chunks):
             start = c * ENGINE_BATCH
-            nb = min(ENGINE_BATCH, n_symbols - start)
+            stop = min(start + ENGINE_BATCH, n_symbols)
             rng = np.random.default_rng(streams[c])
-            tx = rng.integers(0, p.n_bins, size=nb)
-            stats = self._bin_noise(rng.standard_normal((nb, 2 * p.n_bins)), var)
-            stats += table[tx]
-            ks = hit[(hit >= start) & (hit < start + nb)]
-            if len(ks):
-                stats[ks - start] += self._burst_bins(bursts, arrivals, amp, ks)
-            sent[start : start + nb] = tx
-            detected[start : start + nb] = np.argmax(np.abs(stats), axis=1)
+            sent[start:stop] = rng.integers(0, p.n_bins, size=stop - start)
+            for b0 in range(start, stop, block):
+                b1 = min(b0 + block, stop)
+                stats = self._bin_noise(rng.standard_normal((b1 - b0, 2 * p.n_bins)), var)
+                stats += table[sent[b0:b1]]
+                ks = hit[(hit >= b0) & (hit < b1)]
+                if len(ks):
+                    stats[ks - b0] += self._burst_bins(bursts, arrivals, amp, ks)
+                detected[b0:b1] = np.argmax(np.abs(stats), axis=1)
         return rxdsp.score(sent, detected, p.sf)
 
 

@@ -75,25 +75,6 @@ def euler_step(
     return e_new, harvested, p_out_w * dt_s
 
 
-def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
-    """Scalar ``np.interp(x, xs, ys)`` in plain Python, bit for bit.
-
-    Follows numpy's own rules: one knot gives its value (NaN included), ends
-    clamp, an exact knot gives that knot's value, and between knots
-    slope*(x - x_j) + y_j with the slope computed first.
-    """
-    if len(xs) == 1 or x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    if x != x:
-        return x
-    j = bisect.bisect_right(xs, x) - 1
-    if xs[j] == x:
-        return ys[j]
-    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
-
-
 @dataclass(frozen=True)
 class HarvesterModel:
     """RF-to-DC conversion: piecewise-linear efficiency vs incident power (dBm).
@@ -163,9 +144,12 @@ class LeakageCurve:
     """
 
     points: tuple[tuple[float, float], ...]
-    # knot voltages and log powers built once: power_w runs on every Euler step
+    # knot table built once, since power_w runs on every Euler step: knot
+    # voltages, log powers, powers exp(log power) and segment slopes
     _volts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _log_powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.points
@@ -177,9 +161,15 @@ class LeakageCurve:
             raise ConfigurationError("leakage curve voltages must be strictly increasing")
         if any(p <= 0 for _, p in pts):
             raise ConfigurationError("leakage powers must be positive (log interpolation)")
-        object.__setattr__(self, "_volts", tuple(float(v) for v, _ in pts))
+        xs = tuple(float(v) for v, _ in pts)
+        ys = tuple(float(lp) for lp in np.log([p for _, p in pts]))
+        object.__setattr__(self, "_volts", xs)
+        object.__setattr__(self, "_log_powers", ys)
+        object.__setattr__(self, "_powers", tuple(float(np.exp(y)) for y in ys))
         object.__setattr__(
-            self, "_log_powers", tuple(float(lp) for lp in np.log([p for _, p in pts]))
+            self,
+            "_slopes",
+            tuple((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)),
         )
 
     @classmethod
@@ -195,8 +185,25 @@ class LeakageCurve:
         return cls(((0.0, power_w),))
 
     def power_w(self, v_volts: float) -> float:
-        # np.exp, not math.exp: the two differ in the last bit for some inputs
-        return float(np.exp(_interp(v_volts, self._volts, self._log_powers)))
+        """exp of ``np.interp(v_volts, knot volts, log powers)``, bit for bit.
+
+        Follows numpy's rules: one knot gives its value (NaN included), ends
+        clamp, an exact knot gives that knot's value, and between knots
+        slope*(v - x_j) + y_j.  Only that last case and NaN compute an exp:
+        np.exp, not math.exp, since the two differ in the last bit for some
+        inputs, and np.exp quiets a signalling NaN.
+        """
+        xs = self._volts
+        if len(xs) == 1 or v_volts <= xs[0]:
+            return self._powers[0]
+        if v_volts >= xs[-1]:
+            return self._powers[-1]
+        if v_volts != v_volts:
+            return float(np.exp(v_volts))
+        j = bisect.bisect_right(xs, v_volts) - 1
+        if xs[j] == v_volts:
+            return self._powers[j]
+        return float(np.exp(self._slopes[j] * (v_volts - xs[j]) + self._log_powers[j]))
 
     def max_power_below(self, v_volts: float) -> float:
         grid = np.linspace(0.0, v_volts, 257)
@@ -224,13 +231,14 @@ def time_to_voltage(
     v = c.v_volts
     t = 0.0
     stalled = 0
+    leak_w, euler, sqrt = leakage.power_w, euler_step, math.sqrt
     while v < v_target:
-        e_next = euler_step(e, p_in, leakage.power_w(v), dt_s)[0]
+        e_next = euler(e, p_in, leak_w(v), dt_s)[0]
         stalled = stalled + 1 if e_next <= e else 0
         if stalled >= STALL_STEPS:
             return math.inf
         e = e_next
-        v = math.sqrt(2.0 * e / cap)  # as Capacitor.v_volts
+        v = sqrt(2.0 * e / cap)  # as Capacitor.v_volts
         t += dt_s
     return t
 
@@ -329,10 +337,12 @@ def run_active_fsm(
     t = 0.0
     trace.log(t, "start", v)
     e_sleep = c.energy_at(fsm.v_sleep)
+    v_up = fsm.v_start  # the threshold that ends a charge: v_start cold, v_wake after boot
+    leak_w, euler, sqrt = leak.power_w, euler_step, math.sqrt
 
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s:
-        p_step, p_out, step, event = p_in, leak.power_w(v), dt, None
+        p_step, p_out, step, event = p_in, leak_w(v), dt, None
         if state == TRANSMITTING:
             drain = p_out * pt + fsm.e_packet_j
             if e + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
@@ -341,8 +351,8 @@ def run_active_fsm(
                 # the first recharge step comes before the log, so every
                 # event timestamp is strictly later than the last packet's
                 state, event = SLEEPING, "sleep"
-        e, got, used = euler_step(e, p_step, p_out, step)
-        v = math.sqrt(2.0 * e / cap)
+        e, got, used = euler(e, p_step, p_out, step)
+        v = sqrt(2.0 * e / cap)
         harvested += got
         consumed += used
         t += step
@@ -350,17 +360,18 @@ def run_active_fsm(
             if event == "packet":
                 trace.packets_sent += 1
             trace.log(t, event, v)
-        elif v >= (fsm.v_start if state == COLD else fsm.v_wake):
+        elif v >= v_up:
             if state == COLD:
                 # boot is an impulse: the whole bring-up cost at once
-                e, got, used = euler_step(e, 0.0, fsm.e_boot_j / dt, dt)
-                v = math.sqrt(2.0 * e / cap)
+                e, got, used = euler(e, 0.0, fsm.e_boot_j / dt, dt)
+                v = sqrt(2.0 * e / cap)
                 harvested += got
                 consumed += used
                 trace.log(t, "boot", v)
                 if v < fsm.v_min:
                     trace.log(t + dt, "dead", v)
                     break
+                v_up = fsm.v_wake
             else:
                 trace.log(t, "wake", v)
             state = TRANSMITTING

@@ -168,8 +168,15 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         (["ber-sweep", "--seed", "-1"], None),
         (["ber-sweep"], "base_seed = -2\n"),
         (["calibrate"], "n_symbols_calibration = -5\n"),
+        (["theory"], "depth_cm = 0\n"),
     ],
-    ids=["overflowed-rate", "negative-seed-flag", "negative-seed-key", "negative-calibration-size"],
+    ids=[
+        "overflowed-rate",
+        "negative-seed-flag",
+        "negative-seed-key",
+        "negative-calibration-size",
+        "depth-off-the-measured-grid",
+    ],
 )
 def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys):
     if cfg_text is not None:

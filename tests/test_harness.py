@@ -21,6 +21,7 @@ def test_parse_config_comments_and_types():
         # a comment
         sf = 9
         bursts_enabled = true
+        sweep_axis = pr_dbm
         sweep_values = 1, 2.5, 3
         """
     )
@@ -76,6 +77,24 @@ def test_validate_collects_all_problems():
         cfg.validate()
     msg = str(err.value)
     assert "sf" in msg and "template" in msg and "sweep" in msg
+
+
+def test_validate_rejects_points_off_the_measured_grid():
+    with pytest.raises(ConfigurationError, match=r"\(22.1 dBm, 0.0 cm\) outside the measured grid"):
+        harness.parse_config("depth_cm = 0\n")
+    # every sweep point along an EIRP or depth axis, in the one message
+    cfg = harness.ExperimentConfig(sf=99, sweep_values=[22.1, 40.0, 9.0])
+    with pytest.raises(ConfigurationError) as err:
+        cfg.validate()
+    msg = str(err.value)
+    assert "sf" in msg and "(40.0 dBm, 13.5 cm) outside" in msg and "(9.0 dBm, 13.5 cm)" in msg
+    with pytest.raises(ConfigurationError, match=r"\(22.1 dBm, 20.0 cm\) outside"):
+        harness.ExperimentConfig(sweep_axis="depth_cm", sweep_values=[3.5, 20.0]).validate()
+    # a pr_dbm sweep still needs its base point on the grid
+    with pytest.raises(ConfigurationError, match=r"\(5.0 dBm, 13.5 cm\) outside"):
+        harness.ExperimentConfig(eirp_dbm=5.0, sweep_axis="pr_dbm", sweep_values=[-95.0]).validate()
+    # other axes' values are not EIRPs or depths
+    harness.ExperimentConfig(sweep_axis="bandwidth_hz", sweep_values=[4096.0]).validate()
 
 
 def test_load_config(tmp_path):
@@ -236,6 +255,38 @@ def test_engine_burst_past_the_last_symbol_is_cut_off():
     want = rxdsp.dechirp_bins(last - last.mean(), p)
     got = eng._burst_bins(bursts, arrivals, 1.0, ks)[0]
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_split_normal_draws_equal_one_draw():
+    # BerEngine.run draws a chunk's symbols, then its normals in row blocks
+    child = np.random.SeedSequence(21).spawn(3)[1]
+    rng = np.random.default_rng(child)
+    rng.integers(0, 128, size=4097)
+    whole = rng.standard_normal((4097, 256))
+    rng = np.random.default_rng(child)
+    rng.integers(0, 128, size=4097)
+    sizes = [1, 3, 512, 1, 3576, 4]
+    parts = [rng.standard_normal((k, 256)) for k in sizes]
+    assert sum(sizes) == 4097
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("with_bursts", [False, True], ids=["awgn", "bursts"])
+@pytest.mark.parametrize("kind", harness.TEMPLATE_KINDS)
+def test_engine_run_is_independent_of_the_row_block(kind, with_bursts, monkeypatch):
+    p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
+    eng = harness.BerEngine(p, kind)
+    frac = 1.0 if kind == "complex" else eng.detection_fraction()
+    n0 = 1e-3
+    ps = rxdsp.snr_for_ber(0.05, p.sf) * p.bw_hz * n0 / frac
+    bursts = channel.WBurstModel() if with_bursts else None
+    for n in (1, 4095, 4096, 4097, 9000):
+        results = []
+        for rows in (1, 3, 512, 4096):
+            monkeypatch.setattr(harness, "ENGINE_BLOCK_BYTES", rows * 16 * p.n_bins)
+            results.append(eng.run(ps, n0, n, seed=17, bursts=bursts))
+        assert all(r == results[-1] for r in results), (n, results)
+        assert n == 1 or 0 < results[-1].n_symbol_errors < n  # the draw decides
 
 
 def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts=None):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfsn import harness, powersim
 from rfsn.errors import ConfigurationError
@@ -340,7 +342,17 @@ _CURVES = {
     "with_startup": powersim.LeakageCurve.default_with_startup(),
     "passive_sleep": powersim.LeakageCurve.constant(powersim.P_SLEEP_W),
     "one_point": powersim.LeakageCurve(((0.7, 2.5e-6),)),
+    "two_points": powersim.LeakageCurve(((0.3, 4.0e-7), (2.9, 1.7e-4))),
 }
+
+
+def _knot_neighbours(leak):
+    """Every knot and the floats just below and just above it."""
+    return [
+        w
+        for v, _ in leak.points
+        for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+    ]
 
 
 @pytest.mark.parametrize("leak", list(_CURVES.values()), ids=list(_CURVES))
@@ -349,6 +361,25 @@ def test_leakage_power_bit_exact_against_np_interp(leak):
     knots = [v for v, _ in leak.points]
     vs = [float(v) for v in rng.uniform(-0.5, 3.5, 10_000)]
     vs += knots + [-1.0, -0.0, knots[-1] + 1.0, math.inf, -math.inf, math.nan]
+    vs += _knot_neighbours(leak)
+    # -NaN and a signalling NaN, which np.exp returns quieted
+    vs += [float(x) for x in np.array([0xFFF8 << 48, 0x7FF0 << 48 | 1], np.uint64).view(np.float64)]
+    assert _bits([leak.power_w(v) for v in vs]) == _bits([_ref_power_w(leak, v) for v in vs])
+
+
+_leakage_curves = st.lists(
+    st.tuples(st.floats(-5.0, 5.0), st.floats(1e-15, 1.0)),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda point: point[0],
+).map(lambda points: powersim.LeakageCurve(tuple(sorted(points))))
+
+
+@given(_leakage_curves, st.lists(st.floats(), max_size=20))
+def test_leakage_power_bit_exact_on_random_curves(leak, vs):
+    # st.floats() draws NaNs of either sign and infinities too
+    xs = [v for v, _ in leak.points]
+    vs = vs + _knot_neighbours(leak) + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
     assert _bits([leak.power_w(v) for v in vs]) == _bits([_ref_power_w(leak, v) for v in vs])
 
 
