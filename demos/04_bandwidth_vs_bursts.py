@@ -23,9 +23,9 @@ cfg = harness.ExperimentConfig(
     bursts_enabled=True,
 )
 
-burst = channel.WBurstModel()
+burst = channel.WBurstModel
 print("burst model: %.0f ms every %.1f s, amplitude x%.0f"
-      % (burst.duration_s * 1e3, burst.mean_interval_s, burst.amplitude_scale))
+      % (burst.DURATION_S * 1e3, burst.MEAN_INTERVAL_S, burst.AMPLITUDE_SCALE))
 print(f"\n{'bw_kHz':>7} {'ds_ms':>7} {'closed_form_es':>14} {'sim_ser':>9} {'sim_ber':>9}")
 rows = harness.run_ber_sweep(cfg)
 for row in rows:

@@ -5,17 +5,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-# Periodic wideband interference defaults: one burst every 0.5 s lasting 3 ms.
-W_BURST_PERIOD_S = 0.5
-W_BURST_DURATION_S = 3e-3
-W_BURST_AMPLITUDE_SCALE = 150.0
 
 
 def _load_table_rows() -> list[tuple[float, float, float]]:
@@ -27,7 +22,7 @@ def _load_table_rows() -> list[tuple[float, float, float]]:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncidentPowerTable:
     """Measured incident power (dBm) at the embedded node vs EIRP and burial depth.
 
@@ -42,7 +37,9 @@ class IncidentPowerTable:
     pr_dbm: np.ndarray  # shape (len(eirp), len(depth))
 
     @classmethod
+    @cache
     def default(cls) -> "IncidentPowerTable":
+        """The measured table, read once per process and shared (read-only arrays)."""
         rows = _load_table_rows()
         eirps = sorted({r[0] for r in rows})
         depths = sorted({r[1] for r in rows})
@@ -50,16 +47,14 @@ class IncidentPowerTable:
         for e, d, p in rows:
             grid[eirps.index(e), depths.index(d)] = p
         table = cls(np.array(eirps), np.array(depths), grid)
+        for a in (table.eirp_dbm, table.depth_cm, table.pr_dbm):
+            a.flags.writeable = False
         table.validate()
         return table
 
     def validate(self) -> None:
-        if self.pr_dbm.shape != (len(self.eirp_dbm), len(self.depth_cm)):
-            raise ConfigurationError("incident power grid shape mismatch")
         if np.isnan(self.pr_dbm).any():
             raise ConfigurationError("incident power grid has missing cells")
-        if np.any(np.diff(self.eirp_dbm) <= 0) or np.any(np.diff(self.depth_cm) <= 0):
-            raise ConfigurationError("table axes must be strictly increasing")
         if np.any(np.diff(self.pr_dbm, axis=0) <= 0):
             raise ConfigurationError("incident power must increase with EIRP at every depth")
 
@@ -128,100 +123,83 @@ class NoiseModel:
         return samples + math.sqrt(var) * rng.standard_normal(samples.shape)
 
 
-# Default envelope of one wideband burst: knots evenly spaced over a unit
-# duration, a full-swing zigzag through +1, -1, +1, -1, +1.
-W_BURST_ENVELOPE = (1.0, -1.0, 1.0, -1.0, 1.0)
-
-
-@lru_cache(maxsize=16)
-def burst_template(n_samples: int, envelope: tuple[float, ...] = W_BURST_ENVELOPE) -> np.ndarray:
-    """One burst's envelope, linear between evenly spaced knots, at n_samples
-    points spanning the burst with both ends included (cached, read-only)."""
-    knots = np.asarray(envelope, dtype=np.float64)
-    t = np.linspace(0.0, 1.0, n_samples)
-    out = np.interp(t, np.linspace(0.0, 1.0, len(knots)), knots)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
 class WBurstModel:
     """Strong periodic-on-average wideband interference.
 
-    Bursts arrive as a Poisson process with mean interval ``mean_interval_s``
-    and last ``duration_s`` each.  Amplitude is ``amplitude_scale`` times the
-    RMS of the disturbed signal — the interferer is co-located machinery,
-    orders of magnitude above the backscatter level.  ``envelope`` gives the
-    burst shape as knot values evenly spaced over one burst duration.
+    Bursts arrive as a Poisson process with mean interval MEAN_INTERVAL_S and
+    last DURATION_S each.  Amplitude is AMPLITUDE_SCALE times the RMS of the
+    disturbed signal — the interferer is co-located machinery, orders of
+    magnitude above the backscatter level.  ENVELOPE gives the burst shape as
+    knot values evenly spaced over one burst duration: a full-swing zigzag.
     """
 
-    mean_interval_s: float = W_BURST_PERIOD_S
-    duration_s: float = W_BURST_DURATION_S
-    amplitude_scale: float = W_BURST_AMPLITUDE_SCALE
-    envelope: tuple[float, ...] = W_BURST_ENVELOPE
+    MEAN_INTERVAL_S = 0.5
+    DURATION_S = 3e-3
+    AMPLITUDE_SCALE = 150.0
+    ENVELOPE = (1.0, -1.0, 1.0, -1.0, 1.0)
 
-    def __post_init__(self) -> None:
-        if self.mean_interval_s <= 0 or self.duration_s <= 0:
-            raise ConfigurationError("burst interval and duration must be positive")
-        if self.duration_s >= self.mean_interval_s:
-            raise ConfigurationError("burst duration must be below the mean interval")
-        if self.amplitude_scale < 0:
-            raise ConfigurationError("amplitude_scale must be non-negative")
-
-    def arrival_times(self, t_end_s: float, rng: np.random.Generator) -> np.ndarray:
-        """Poisson arrivals with rate 1/mean_interval over [0, t_end)."""
+    @staticmethod
+    def arrival_times(t_end_s: float, rng: np.random.Generator) -> np.ndarray:
+        """Poisson arrivals with rate 1/MEAN_INTERVAL_S over [0, t_end)."""
         times = []
         t = 0.0
         while True:
-            t += rng.exponential(self.mean_interval_s)
+            t += rng.exponential(WBurstModel.MEAN_INTERVAL_S)
             if t >= t_end_s:
                 break
             times.append(t)
         return np.asarray(times)
 
 
-def _burst_windows(m: WBurstModel, arrivals_s: np.ndarray, fs_hz: float) -> tuple[np.ndarray, int]:
+@lru_cache(maxsize=16)
+def burst_template(n_samples: int) -> np.ndarray:
+    """One burst's envelope, linear between WBurstModel.ENVELOPE's evenly spaced
+    knots, at n_samples points spanning the burst with both ends included
+    (cached, read-only)."""
+    knots = np.asarray(WBurstModel.ENVELOPE, dtype=np.float64)
+    t = np.linspace(0.0, 1.0, n_samples)
+    out = np.interp(t, np.linspace(0.0, 1.0, len(knots)), knots)
+    out.flags.writeable = False
+    return out
+
+
+def _burst_windows(arrivals_s: np.ndarray, fs_hz: float) -> tuple[np.ndarray, int]:
     """First sample index round(t*fs) of each burst on the global grid, and
     the burst length in samples."""
     first = np.round(np.asarray(arrivals_s, dtype=np.float64) * fs_hz).astype(np.int64)
-    return first, max(1, int(round(m.duration_s * fs_hz)))
+    return first, max(1, int(round(WBurstModel.DURATION_S * fs_hz)))
 
 
 def add_w_bursts(
-    x: np.ndarray,
-    m: WBurstModel,
-    arrivals_s: np.ndarray,
-    t_start_s: float,
-    fs_hz: float,
-    rms: float,
+    x: np.ndarray, arrivals_s: np.ndarray, t_start_s: float, fs_hz: float, rms: float
 ) -> None:
-    """Add m's bursts in place to the 1-D sample block x starting at t_start_s.
+    """Add the bursts in place to the 1-D sample block x starting at t_start_s.
 
     ``arrivals_s`` are sorted burst arrival times, as drawn by
-    ``m.arrival_times`` over the whole stream.  Each burst is placed on the
-    global sample grid, so a burst that starts before the block adds its tail,
-    one running past the block's end is cut off there, and blocks laid end to
-    end receive every burst exactly once.  Burst amplitude is
-    ``m.amplitude_scale * rms``.
+    ``WBurstModel.arrival_times`` over the whole stream.  Each burst is placed
+    on the global sample grid, so a burst that starts before the block adds
+    its tail, one running past the block's end is cut off there, and blocks
+    laid end to end receive every burst exactly once.  Burst amplitude is
+    ``WBurstModel.AMPLITUDE_SCALE * rms``.
     """
     b0 = int(round(t_start_s * fs_hz))
-    pad = m.duration_s + 2.0 / fs_hz  # covers the rounding of both ends
+    pad = WBurstModel.DURATION_S + 2.0 / fs_hz  # covers the rounding of both ends
     lo, hi = np.searchsorted(arrivals_s, [t_start_s - pad, t_start_s + len(x) / fs_hz + pad])
-    first, n_burst = _burst_windows(m, arrivals_s[lo:hi], fs_hz)
-    template = m.amplitude_scale * rms * burst_template(n_burst, m.envelope)
+    first, n_burst = _burst_windows(arrivals_s[lo:hi], fs_hz)
+    template = WBurstModel.AMPLITUDE_SCALE * rms * burst_template(n_burst)
     for i in first - b0:
         a, b = max(i, 0), min(i + n_burst, len(x))
         if a < b:
             x[a:b] += template[a - i : b - i]
 
 
-def interference_symbol_error_rate(ds_s: float, m: WBurstModel | None = None) -> float:
+def interference_symbol_error_rate(ds_s: float) -> float:
     """Closed-form symbol corruption rate: ceil(Dw/Ds)*Ds/Tw, clamped to [0, 1].
 
     Each burst lands inside some symbol and destroys it plus the symbols it
     spills into: ceil(Dw/Ds) symbols per burst, bursts at rate 1/Tw.
     """
-    m = m or WBurstModel()
     if ds_s <= 0:
         raise ConfigurationError("symbol duration must be positive")
-    return min(1.0, math.ceil(m.duration_s / ds_s) * ds_s / m.mean_interval_s)
+    dw, tw = WBurstModel.DURATION_S, WBurstModel.MEAN_INTERVAL_S
+    return min(1.0, math.ceil(dw / ds_s) * ds_s / tw)

@@ -76,10 +76,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise one ConfigurationError naming every problem with this config.
 
-        The chirp and capacitor settings are checked by building the objects
-        that own those checks, and the (EIRP, depth) points of the base and
-        of an eirp_dbm or depth_cm sweep by looking them up in the measured
-        incident-power table.
+        The chirp, capacitor and charge-model settings are checked by
+        building the objects that own those checks, and the (EIRP, depth)
+        points of the base, of the calibration anchor and of an eirp_dbm or
+        depth_cm sweep by looking them up in the measured incident-power table.
         """
         problems = []
         for f in fields(self):
@@ -89,13 +89,17 @@ class ExperimentConfig:
             elif f.type == "list[float]" and not all(math.isfinite(x) for x in v):
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
         table = channel.IncidentPowerTable.default()
-        grid_points = [lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm)]
+        grid_points = [
+            lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm),
+            lambda: table.incident_power_dbm(self.anchor_eirp_dbm, self.depth_cm),
+        ]
         if self.sweep_axis in ("eirp_dbm", "depth_cm"):
             axis = SWEEP_AXES[self.sweep_axis]
             grid_points += [lambda v=v: axis(self, table, v) for v in self.sweep_values]
         for build in (
             lambda: _engine_params(self),
             lambda: powersim.Capacitor(self.capacitance_f),
+            lambda: charge_models(self),
             *grid_points,
         ):
             try:
@@ -120,12 +124,10 @@ class ExperimentConfig:
             problems.append(f"charge_variant={self.charge_variant!r} not passive/active")
         if not 0 < self.dt_s <= 1e-3:
             problems.append(f"dt_s={self.dt_s} outside (0, 1e-3]")
-        if self.efficiency_scale <= 0:
-            problems.append(f"efficiency_scale={self.efficiency_scale} must be positive")
         if not 0.0 < self.anchor_ber < 0.5:
             problems.append(f"anchor_ber={self.anchor_ber} outside (0, 0.5)")
         if problems:
-            raise ConfigurationError("invalid config: " + "; ".join(problems))
+            raise ConfigurationError("invalid config: " + "; ".join(dict.fromkeys(problems)))
 
 
 def _coerce(raw: str, type_name: str):
@@ -290,20 +292,16 @@ class BerEngine:
         z *= math.sqrt(var)
         return (z @ self._real_noise_factor).view(np.complex128)
 
-    def _burst_symbols(
-        self, bursts: channel.WBurstModel, arrivals_s: np.ndarray, n_symbols: int
-    ) -> np.ndarray:
+    def _burst_symbols(self, arrivals_s: np.ndarray, n_symbols: int) -> np.ndarray:
         """Sorted indices of the symbols below n_symbols that a burst touches."""
         m = self.p.samples_per_symbol
-        first, n_burst = channel._burst_windows(bursts, arrivals_s, self.p.fs_hz)
+        first, n_burst = channel._burst_windows(arrivals_s, self.p.fs_hz)
         k0, k1 = first // m, (first + n_burst - 1) // m
         ks = k0[:, None] + np.arange(int(np.max(k1 - k0, initial=0)) + 1)
         ks = np.unique(ks[ks <= k1[:, None]])
         return ks[ks < n_symbols]
 
-    def _burst_bins(
-        self, bursts: channel.WBurstModel, arrivals_s: np.ndarray, amp: float, ks: np.ndarray
-    ) -> np.ndarray:
+    def _burst_bins(self, arrivals_s: np.ndarray, amp: float, ks: np.ndarray) -> np.ndarray:
         """Decision bins of the mean-removed bursts alone on the sorted symbols ks."""
         p = self.p
         m = p.samples_per_symbol
@@ -311,7 +309,7 @@ class BerEngine:
         # each run of consecutive symbols is one contiguous block of the stream
         for run in np.split(np.arange(len(ks)), np.flatnonzero(np.diff(ks) > 1) + 1):
             block = rows[run[0] : run[-1] + 1].reshape(-1)
-            channel.add_w_bursts(block, bursts, arrivals_s, ks[run[0]] * m / p.fs_hz, p.fs_hz, amp)
+            channel.add_w_bursts(block, arrivals_s, ks[run[0]] * m / p.fs_hz, p.fs_hz, amp)
         return rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
 
     def detection_fraction(self) -> float:
@@ -327,9 +325,10 @@ class BerEngine:
         n0_w_per_hz: float,
         n_symbols: int,
         seed: int,
-        bursts: channel.WBurstModel | None = None,
+        bursts: bool = False,
     ) -> rxdsp.BerResult:
-        """Symbol and bit error rates of n_symbols random symbols.
+        """Symbol and bit error rates of n_symbols random symbols, with the
+        channel.WBurstModel interference on top of the noise when bursts is set.
 
         Chunk c of ENGINE_BATCH symbols draws its symbols, then its noise,
         from child c of SeedSequence(seed); burst arrivals over the whole run
@@ -341,10 +340,10 @@ class BerEngine:
         n_chunks = -(-n_symbols // ENGINE_BATCH)
         streams = np.random.SeedSequence(seed).spawn(n_chunks + 1)
         hit = np.empty(0, dtype=np.int64)
-        if bursts is not None and bursts.amplitude_scale > 0:
+        if bursts:
             span_s = n_symbols * p.samples_per_symbol / p.fs_hz
-            arrivals = bursts.arrival_times(span_s, np.random.default_rng(streams[-1]))
-            hit = self._burst_symbols(bursts, arrivals, n_symbols)
+            arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(streams[-1]))
+            hit = self._burst_symbols(arrivals, n_symbols)
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
         block = max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins))  # 2n float64 normals a row
@@ -361,7 +360,7 @@ class BerEngine:
                 stats += table[sent[b0:b1]]
                 ks = hit[(hit >= b0) & (hit < b1)]
                 if len(ks):
-                    stats[ks - b0] += self._burst_bins(bursts, arrivals, amp, ks)
+                    stats[ks - b0] += self._burst_bins(arrivals, amp, ks)
                 detected[b0:b1] = np.argmax(np.abs(stats), axis=1)
         return rxdsp.score(sent, detected, p.sf)
 
@@ -399,7 +398,6 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Monte-Carlo BER across the configured sweep axis, one seeded row per point."""
     cfg.validate()
     table = channel.IncidentPowerTable.default()
-    bursts = channel.WBurstModel() if cfg.bursts_enabled else None
     point = SWEEP_AXES[cfg.sweep_axis]
     rows = []
     engines: dict[float, BerEngine] = {}
@@ -412,7 +410,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
         snr = rxdsp.effective_snr(ps_w, p.bw_hz, cfg.n0_w_per_hz, eng.detection_fraction())
         t0 = time.perf_counter()
-        res = eng.run(ps_w, cfg.n0_w_per_hz, cfg.n_symbols, cfg.base_seed + idx, bursts)
+        res = eng.run(ps_w, cfg.n0_w_per_hz, cfg.n_symbols, cfg.base_seed + idx, cfg.bursts_enabled)
         rows.append(
             SweepRow(
                 axis=cfg.sweep_axis,
@@ -579,11 +577,11 @@ def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     n = cfg.n_symbols_calibration
     lo_db, hi_db = CALIBRATION_BRACKET_DB
 
-    def ber_at(gain_db: float, seed_salt: int) -> float:
+    def run_at(gain_db: float, seed_salt: int) -> rxdsp.BerResult:
         ps = channel.dbm_to_w(pr + gain_db)
-        return eng.run(ps, cfg.n0_w_per_hz, n, cfg.base_seed + 7000 + seed_salt).ber
+        return eng.run(ps, cfg.n0_w_per_hz, n, cfg.base_seed + 7000 + seed_salt)
 
-    if ber_at(lo_db, 0) < cfg.anchor_ber or ber_at(hi_db, 1) > cfg.anchor_ber:
+    if run_at(lo_db, 0).ber < cfg.anchor_ber or run_at(hi_db, 1).ber > cfg.anchor_ber:
         raise CalibrationError(
             f"anchor BER {cfg.anchor_ber} not bracketed by gains [{lo_db}, {hi_db}] dB "
             f"(pr={pr} dBm, n0={cfg.n0_w_per_hz})"
@@ -593,9 +591,9 @@ def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     while hi_db - lo_db > 0.02:
         it += 1
         mid = 0.5 * (lo_db + hi_db)
-        achieved = ber_at(mid, 1 + it)
-        k = round(achieved * n * cfg.sf)
-        w_lo, w_hi = rxdsp.wilson_interval(k, n * cfg.sf)
+        res = run_at(mid, 1 + it)
+        achieved = res.ber
+        w_lo, w_hi = rxdsp.wilson_interval(res.n_bit_errors, res.n_bits)
         if w_lo <= cfg.anchor_ber <= w_hi:
             return CalibrationResult(mid, pr, cfg.anchor_ber, achieved, n)
         if achieved > cfg.anchor_ber:

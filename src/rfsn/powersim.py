@@ -205,10 +205,6 @@ class LeakageCurve:
             return self._powers[j]
         return float(np.exp(self._slopes[j] * (v_volts - xs[j]) + self._log_powers[j]))
 
-    def max_power_below(self, v_volts: float) -> float:
-        grid = np.linspace(0.0, v_volts, 257)
-        return max(self.power_w(float(v)) for v in grid)
-
 
 def time_to_voltage(
     c: Capacitor,
@@ -246,9 +242,10 @@ def time_to_voltage(
 def min_startup_incident_power(leak: LeakageCurve, h: HarvesterModel) -> float:
     """Smallest incident power whose harvest beats leakage everywhere below V_MIN.
 
-    Returns math.inf when no power level in STARTUP_SEARCH_DBM suffices.
+    Leakage is sampled at 257 voltages spanning [0, V_MIN].  Returns math.inf
+    when no power level in STARTUP_SEARCH_DBM suffices.
     """
-    need = leak.max_power_below(V_MIN)
+    need = max(leak.power_w(float(v)) for v in np.linspace(0.0, V_MIN, 257))
     lo_dbm, hi_dbm = STARTUP_SEARCH_DBM
     if h.harvested_power_w(hi_dbm) <= need:
         return math.inf

@@ -90,19 +90,16 @@ def dechirp_bins(x: np.ndarray, p: ChirpParams) -> np.ndarray:
     return spec[..., :n] + spec[..., m - n : m]
 
 
-def demodulate_stream(w: Waveform, p: ChirpParams, n_symbols: int | None = None) -> np.ndarray:
-    """Demodulate n_symbols back-to-back symbols (batched FFT; exact timing assumed)."""
+def demodulate_stream(w: Waveform, p: ChirpParams) -> np.ndarray:
+    """Demodulate every whole back-to-back symbol of w (batched FFT; exact timing assumed)."""
     if abs(w.fs_hz - p.fs_hz) > 1e-6 * p.fs_hz:
         raise ConfigurationError(
             f"waveform rate {w.fs_hz} Hz does not match params fs {p.fs_hz} Hz"
         )
     m = p.samples_per_symbol
-    if n_symbols is None:
-        n_symbols = len(w.samples) // m
-    if n_symbols < 1 or len(w.samples) < n_symbols * m:
-        raise ConfigurationError(
-            f"waveform has {len(w.samples)} samples, need {n_symbols} x {m}"
-        )
+    n_symbols = len(w.samples) // m
+    if n_symbols < 1:
+        raise ConfigurationError(f"waveform has {len(w.samples)} samples, need at least {m}")
     x = w.mean_removed()[: n_symbols * m].reshape(n_symbols, m)
     mags = np.abs(dechirp_bins(x, p))
     return np.argmax(mags, axis=1)
@@ -113,7 +110,7 @@ _POPCOUNT = np.unpackbits(np.arange(65536, dtype=np.uint16).view(np.uint8)).resh
 )
 
 
-def bit_errors(sent: np.ndarray, detected: np.ndarray, sf: int) -> int:
+def bit_errors(sent: np.ndarray, detected: np.ndarray) -> int:
     """Total differing bits between sent and detected symbol arrays."""
     x = (np.asarray(sent, dtype=np.int64) ^ np.asarray(detected, dtype=np.int64)) & 0xFFFF
     return int(_POPCOUNT[x].sum())
@@ -150,11 +147,6 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def wilson_halfwidth(k: int, n: int) -> float:
-    lo, hi = wilson_interval(k, n)
-    return 0.5 * (hi - lo)
-
-
 def score(sent: np.ndarray, detected: np.ndarray, sf: int) -> BerResult:
     sent = np.asarray(sent)
     detected = np.asarray(detected)
@@ -162,8 +154,9 @@ def score(sent: np.ndarray, detected: np.ndarray, sf: int) -> BerResult:
         raise ConfigurationError("sent and detected symbol arrays differ in length")
     n = len(sent)
     serr = int(np.count_nonzero(sent != detected))
-    berr = bit_errors(sent, detected, sf)
+    berr = bit_errors(sent, detected)
     nbits = n * sf
+    lo, hi = wilson_interval(berr, nbits)
     return BerResult(
         n_symbols=n,
         n_bits=nbits,
@@ -171,5 +164,5 @@ def score(sent: np.ndarray, detected: np.ndarray, sf: int) -> BerResult:
         n_bit_errors=berr,
         ser=serr / n if n else 0.0,
         ber=berr / nbits if nbits else 0.0,
-        wilson_95_halfwidth=wilson_halfwidth(berr, nbits),
+        wilson_95_halfwidth=0.5 * (hi - lo),
     )

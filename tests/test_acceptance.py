@@ -58,10 +58,9 @@ def _burst_overlap_oracle(ds_s: float, n_symbols: int, seed: int) -> float:
     Each burst arriving at time t corrupts the symbol it lands in plus the
     following ceil(duration/ds) - 1 symbols.
     """
-    m = channel.WBurstModel()
     rng = np.random.default_rng(seed)
-    arrivals = m.arrival_times(n_symbols * ds_s, rng)
-    span = math.ceil(m.duration_s / ds_s)
+    arrivals = channel.WBurstModel.arrival_times(n_symbols * ds_s, rng)
+    span = math.ceil(channel.WBurstModel.DURATION_S / ds_s)
     hit = np.zeros(n_symbols, dtype=bool)
     k0 = np.floor(arrivals / ds_s).astype(np.int64)
     for j in range(span):

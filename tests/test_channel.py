@@ -46,6 +46,25 @@ def test_table_refuses_extrapolation():
         t.incident_power_dbm(23.6, 1.0)
 
 
+def test_table_is_read_once_and_shared_read_only(monkeypatch):
+    reads = []
+
+    def counting_load():
+        reads.append(1)
+        return load()
+
+    load = channel._load_table_rows
+    monkeypatch.setattr(channel, "_load_table_rows", counting_load)
+    channel.IncidentPowerTable.default.cache_clear()
+    t = channel.IncidentPowerTable.default()
+    assert channel.IncidentPowerTable.default() is t
+    assert len(reads) == 1
+    for a in (t.eirp_dbm, t.depth_cm, t.pr_dbm):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert t.incident_power_dbm(23.6, 13.5) == pytest.approx(-7.3)
+
+
 def test_table_monotone_in_eirp():
     t = channel.IncidentPowerTable.default()
     for d in (3.5, 6.0, 10.0, 13.5):
@@ -88,59 +107,42 @@ def test_burst_template_w_shape():
     assert np.abs(tpl).max() <= 1.0
 
 
-def test_wburst_model_validation():
-    with pytest.raises(ConfigurationError):
-        channel.WBurstModel(mean_interval_s=0.002, duration_s=0.003)
-
-
 def test_arrival_times_poisson_rate():
-    m = channel.WBurstModel()
     rng = np.random.default_rng(11)
-    arrivals = m.arrival_times(5000.0, rng)
+    arrivals = channel.WBurstModel.arrival_times(5000.0, rng)
     rate = len(arrivals) / 5000.0
-    assert rate == pytest.approx(1 / m.mean_interval_s, rel=0.05)
+    assert rate == pytest.approx(1 / channel.WBurstModel.MEAN_INTERVAL_S, rel=0.05)
     assert np.all(np.diff(arrivals) > 0)
 
 
 def test_inject_w_bursts_touches_only_logged_windows():
     fs = 32768.0
     x = np.zeros(32768 * 4)
-    m = channel.WBurstModel()
-    arrivals = m.arrival_times(len(x) / fs, np.random.default_rng(3))
-    channel.add_w_bursts(x, m, arrivals, 0.0, fs, 1.0)
+    arrivals = channel.WBurstModel.arrival_times(len(x) / fs, np.random.default_rng(3))
+    channel.add_w_bursts(x, arrivals, 0.0, fs, 1.0)
     assert len(arrivals) > 0
     mask = np.zeros(len(x), dtype=bool)
     for t0 in arrivals:
         i = int(round(t0 * fs))
-        j = min(len(x), i + int(round(m.duration_s * fs)) + 1)
+        j = min(len(x), i + int(round(channel.WBurstModel.DURATION_S * fs)) + 1)
         mask[i:j] = True
     changed = x != 0.0
     assert np.all(~changed | mask)
     assert changed.any()
 
 
-def test_inject_w_bursts_zero_scale_keeps_log():
-    x = np.zeros(32768)
-    m = channel.WBurstModel(amplitude_scale=0.0)
-    arrivals = m.arrival_times(1.0, np.random.default_rng(3))
-    channel.add_w_bursts(x, m, arrivals, 0.0, 32768.0, 1.0)
-    assert not x.any()
-    assert len(arrivals) > 0  # the arrivals stay for bookkeeping
-
-
 def test_add_w_bursts_blocks_end_to_end_equal_one_stream():
     # a burst spilling over a block edge lands in both blocks, and one
     # running past the last block is cut off there
     fs = 32768.0
-    m = channel.WBurstModel()
-    n_burst = int(round(m.duration_s * fs))
+    n_burst = int(round(channel.WBurstModel.DURATION_S * fs))
     arrivals = np.array([(1000 - 10) / fs, (3000 - 7) / fs])
     whole = np.zeros(3000)
-    channel.add_w_bursts(whole, m, arrivals, 0.0, fs, 2.0)
+    channel.add_w_bursts(whole, arrivals, 0.0, fs, 2.0)
     parts = np.zeros(3000)
     for b0 in range(0, 3000, 1000):
-        channel.add_w_bursts(parts[b0 : b0 + 1000], m, arrivals, b0 / fs, fs, 2.0)
-    tpl = 2.0 * m.amplitude_scale * channel.burst_template(n_burst)
+        channel.add_w_bursts(parts[b0 : b0 + 1000], arrivals, b0 / fs, fs, 2.0)
+    tpl = 2.0 * channel.WBurstModel.AMPLITUDE_SCALE * channel.burst_template(n_burst)
     assert np.array_equal(parts, whole)
     assert np.array_equal(whole[990 : 990 + n_burst], tpl)
     assert np.array_equal(whole[-7:], tpl[:7])
@@ -151,8 +153,3 @@ def test_interference_rate_closed_form():
     assert channel.interference_symbol_error_rate(1.03e-3) == pytest.approx(6.18e-3)
     # a symbol far longer than the burst interval is always hit
     assert channel.interference_symbol_error_rate(10.0) == 1.0
-
-
-def test_interference_rate_custom_model():
-    m = channel.WBurstModel(mean_interval_s=1.0, duration_s=0.01)
-    assert channel.interference_symbol_error_rate(0.005, m) == pytest.approx(0.01)

@@ -95,6 +95,22 @@ def test_validate_rejects_points_off_the_measured_grid():
         harness.ExperimentConfig(eirp_dbm=5.0, sweep_axis="pr_dbm", sweep_values=[-95.0]).validate()
     # other axes' values are not EIRPs or depths
     harness.ExperimentConfig(sweep_axis="bandwidth_hz", sweep_values=[4096.0]).validate()
+    # the calibration anchor, named once where it equals the base point
+    with pytest.raises(ConfigurationError, match=r"\(5.0 dBm, 13.5 cm\) outside"):
+        harness.parse_config("anchor_eirp_dbm = 5\n")
+    with pytest.raises(ConfigurationError) as err:
+        harness.parse_config("depth_cm = 0\n")
+    assert str(err.value).count("(22.1 dBm, 0.0 cm)") == 1
+
+
+@pytest.mark.parametrize("variant, scale", [("passive", 5.0), ("active", 1.7), ("passive", 0.0)])
+def test_validate_rejects_an_efficiency_scale_the_charge_sweep_refuses(variant, scale):
+    text = f"charge_variant = {variant}\nefficiency_scale = {scale}\n"
+    with pytest.raises(ConfigurationError, match="scaled efficiency must stay within"):
+        harness.parse_config(text)
+    # the largest scale each variant's efficiency curve allows is valid
+    top = 1.0 / 0.62 if variant == "active" else 1.0 / 0.50
+    harness.ExperimentConfig(charge_variant=variant, efficiency_scale=top).validate()
 
 
 def test_load_config(tmp_path):
@@ -142,14 +158,9 @@ def test_engine_seed_reproducibility():
 def test_engine_bursts_raise_errors_at_high_snr():
     eng = harness.BerEngine(_params(), "complex")
     clean = eng.run(1.0, 1e-12, 4096, seed=3)
-    m = channel.WBurstModel(amplitude_scale=150.0)
-    hit = eng.run(1.0, 1e-12, 4096, seed=3, bursts=m)
-    # the burst envelope reaches the engine: an all-zero one adds nothing
-    silent = channel.WBurstModel(amplitude_scale=150.0, envelope=(0.0, 0.0))
-    quiet = eng.run(1.0, 1e-12, 4096, seed=3, bursts=silent)
+    hit = eng.run(1.0, 1e-12, 4096, seed=3, bursts=True)
     assert clean.n_symbol_errors == 0
     assert hit.n_symbol_errors > 0
-    assert quiet.ber == 0.0
 
 
 @pytest.mark.parametrize("sf", [5, 7])
@@ -196,16 +207,16 @@ def test_engine_run_draws_no_time_domain_noise(monkeypatch):
     monkeypatch.setattr(channel.NoiseModel, "add", refuse)
     for kind in harness.TEMPLATE_KINDS:
         eng = harness.BerEngine(_params(), kind)
-        res = eng.run(1e-2, 1e-4, 300, seed=4, bursts=channel.WBurstModel())
+        res = eng.run(1e-2, 1e-4, 300, seed=4, bursts=True)
         assert res.n_symbols == 300, kind
 
 
-def _burst_stream_bins(eng, bursts, arrivals, amp, n_symbols):
+def _burst_stream_bins(eng, arrivals, amp, n_symbols):
     """dechirp_bins of the mean-removed burst stream of n_symbols symbols."""
     p = eng.p
     m = p.samples_per_symbol
     x = np.zeros(n_symbols * m)
-    channel.add_w_bursts(x, bursts, arrivals, 0.0, p.fs_hz, amp)
+    channel.add_w_bursts(x, arrivals, 0.0, p.fs_hz, amp)
     rows = x.reshape(n_symbols, m)
     return rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
 
@@ -213,13 +224,14 @@ def _burst_stream_bins(eng, bursts, arrivals, amp, n_symbols):
 def test_engine_burst_bins_match_the_time_domain_stream():
     p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
     eng = harness.BerEngine(p, "complex")
-    bursts = channel.WBurstModel(mean_interval_s=0.05)
     n_symbols = 400
-    arrivals = bursts.arrival_times(n_symbols * p.ds_s, np.random.default_rng(5))
-    want = _burst_stream_bins(eng, bursts, arrivals, 0.3, n_symbols)
-    ks = eng._burst_symbols(bursts, arrivals, n_symbols)
+    # ~8 bursts a second, denser than the model's 2, so runs of hit symbols
+    # and overlapping bursts occur
+    arrivals = np.sort(np.random.default_rng(5).uniform(0.0, n_symbols * p.ds_s, 25))
+    want = _burst_stream_bins(eng, arrivals, 0.3, n_symbols)
+    ks = eng._burst_symbols(arrivals, n_symbols)
     got = np.zeros_like(want)
-    got[ks] = eng._burst_bins(bursts, arrivals, 0.3, ks)
+    got[ks] = eng._burst_bins(arrivals, 0.3, ks)
     assert 0 < len(ks) < n_symbols
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -228,13 +240,12 @@ def test_engine_burst_crossing_a_chunk_edge_reaches_the_next_chunk():
     p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
     m = p.samples_per_symbol
     eng = harness.BerEngine(p, "complex")
-    bursts = channel.WBurstModel()
     edge = harness.ENGINE_BATCH  # first symbol of chunk 1
     arrivals = np.array([(edge * m - 10) / p.fs_hz])  # 10 samples before the edge
-    ks = eng._burst_symbols(bursts, arrivals, edge + 1)
+    ks = eng._burst_symbols(arrivals, edge + 1)
     assert list(ks) == [edge - 1, edge]
-    bins = eng._burst_bins(bursts, arrivals, 1.0, ks)
-    want = _burst_stream_bins(eng, bursts, arrivals, 1.0, edge + 1)[edge - 1 :]
+    bins = eng._burst_bins(arrivals, 1.0, ks)
+    want = _burst_stream_bins(eng, arrivals, 1.0, edge + 1)[edge - 1 :]
     assert np.max(np.abs(bins[1])) > 1.0  # the tail changes chunk 1's first symbol
     assert np.max(np.abs(bins - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -243,17 +254,16 @@ def test_engine_burst_past_the_last_symbol_is_cut_off():
     p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
     m = p.samples_per_symbol
     eng = harness.BerEngine(p, "complex")
-    bursts = channel.WBurstModel()
+    bursts = channel.WBurstModel
     n_symbols = 3
     arrivals = np.array([(n_symbols * m - 4) / p.fs_hz])  # 4 samples before the end
-    ks = eng._burst_symbols(bursts, arrivals, n_symbols)
+    ks = eng._burst_symbols(arrivals, n_symbols)
     assert list(ks) == [n_symbols - 1]
     last = np.zeros(m)
-    last[-4:] = bursts.amplitude_scale * channel.burst_template(
-        int(round(bursts.duration_s * p.fs_hz)), bursts.envelope
-    )[:4]
+    n_burst = int(round(bursts.DURATION_S * p.fs_hz))
+    last[-4:] = bursts.AMPLITUDE_SCALE * channel.burst_template(n_burst)[:4]
     want = rxdsp.dechirp_bins(last - last.mean(), p)
-    got = eng._burst_bins(bursts, arrivals, 1.0, ks)[0]
+    got = eng._burst_bins(arrivals, 1.0, ks)[0]
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -279,17 +289,16 @@ def test_engine_run_is_independent_of_the_row_block(kind, with_bursts, monkeypat
     frac = 1.0 if kind == "complex" else eng.detection_fraction()
     n0 = 1e-3
     ps = rxdsp.snr_for_ber(0.05, p.sf) * p.bw_hz * n0 / frac
-    bursts = channel.WBurstModel() if with_bursts else None
     for n in (1, 4095, 4096, 4097, 9000):
         results = []
         for rows in (1, 3, 512, 4096):
             monkeypatch.setattr(harness, "ENGINE_BLOCK_BYTES", rows * 16 * p.n_bins)
-            results.append(eng.run(ps, n0, n, seed=17, bursts=bursts))
+            results.append(eng.run(ps, n0, n, seed=17, bursts=with_bursts))
         assert all(r == results[-1] for r in results), (n, results)
         assert n == 1 or 0 < results[-1].n_symbol_errors < n  # the draw decides
 
 
-def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts=None):
+def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts):
     """Reference chain in the time domain: NoiseModel.add, mean removal,
     dechirp_bins and argmax, block by block over one burst-arrival draw."""
     p = eng.p
@@ -297,16 +306,16 @@ def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts=None):
     rng = np.random.default_rng(seed)
     amp = math.sqrt(ps_w)
     noise = channel.NoiseModel(n0)
-    if bursts is not None:
-        arrivals = bursts.arrival_times(n_symbols * m / p.fs_hz, rng)
+    if bursts:
+        arrivals = channel.WBurstModel.arrival_times(n_symbols * m / p.fs_hz, rng)
     errors = 0
     for start in range(0, n_symbols, 1000):
         nb = min(1000, n_symbols - start)
         tx = rng.integers(0, p.n_bins, size=nb)
         x = amp * eng.templates[tx]
-        if bursts is not None:
+        if bursts:
             b = np.zeros(nb * m)
-            channel.add_w_bursts(b, bursts, arrivals, start * m / p.fs_hz, p.fs_hz, amp)
+            channel.add_w_bursts(b, arrivals, start * m / p.fs_hz, p.fs_hz, amp)
             x = x + b.reshape(nb, m)
         y = noise.add(x, p.fs_hz, rng)
         y = y - y.mean(axis=1, keepdims=True)
@@ -327,12 +336,11 @@ def test_engine_ser_matches_time_domain_oracle(kind, with_bursts):
     eng = harness.BerEngine(p, kind)
     frac = 1.0 if kind == "complex" else eng.detection_fraction()
     seed = 300 if kind == "complex" else 1300
-    bursts = channel.WBurstModel() if with_bursts else None
     n0, n = 1e-3, 6000
     for i, pb in enumerate([0.15, 0.07, 0.02, 6e-3, 1.5e-3]):
         ps = rxdsp.snr_for_ber(pb, p.sf) * p.bw_hz * n0 / frac
-        ser = eng.run(ps, n0, n, seed=seed + i, bursts=bursts).ser
-        ref = _time_domain_ser(eng, ps, n0, n, seed + 100 + i, bursts)
+        ser = eng.run(ps, n0, n, seed=seed + i, bursts=with_bursts).ser
+        ref = _time_domain_ser(eng, ps, n0, n, seed + 100 + i, with_bursts)
         pooled = 0.5 * (ser + ref)
         sigma = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
         assert abs(ser - ref) <= 4.0 * sigma, (pb, ser, ref)
@@ -385,6 +393,27 @@ def test_ber_sweep_eirp_axis_uses_power_table():
     )
     (row,) = harness.run_ber_sweep(cfg)
     assert row.pr_dbm == pytest.approx(-7.3)
+
+
+def test_ber_sweep_with_bursts_is_pinned():
+    # bandwidth_bursts.cfg at 7000 symbols, seed 1: every field but runtime_s
+    cfg = harness.load_config(CONFIGS / "bandwidth_bursts.cfg")
+    rows = harness.run_ber_sweep(dataclasses.replace(cfg, n_symbols=7000, base_seed=1))
+    got = [
+        {k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_s"} for r in rows
+    ]
+    common = dict(axis="bandwidth_hz", pr_dbm=-7.3, ps_w=0.00018620871366628695,
+                  n_symbols=7000, theory_pb=0.0)
+    assert got == [
+        dict(common, axis_value=4096.0, snr_db=46.5514873786544, ser=0.05928571428571429,
+             ber=0.03046938775510204, wilson95=0.001522203277204556, interference_es=0.0625),
+        dict(common, axis_value=125000.0, snr_db=31.70598672825158, ser=0.006142857142857143,
+             ber=0.003551020408163265, wilson95=0.0005281041539183999,
+             interference_es=0.006144),
+        dict(common, axis_value=250000.0, snr_db=28.69568677161177, ser=0.012285714285714285,
+             ber=0.005979591836734694, wilson95=0.0006836979404247542,
+             interference_es=0.006144),
+    ]
 
 
 def test_charge_sweep_passive_and_never():
@@ -447,9 +476,10 @@ def test_calibrate_matches_anchor_ber():
         n_symbols_calibration=4000,
     )
     res = harness.calibrate_composite_gain(cfg)
-    half = rxdsp.wilson_halfwidth(
+    lo, hi = rxdsp.wilson_interval(
         round(res.achieved_ber * res.n_symbols * cfg.sf), res.n_symbols * cfg.sf
     )
+    half = 0.5 * (hi - lo)
     assert abs(res.achieved_ber - 0.162) <= 3 * half + 0.01
 
 

@@ -84,7 +84,12 @@ def test_leakage_log_linear_midpoint():
 def test_leakage_clamps_beyond_ends_and_max_below():
     leak = powersim.LeakageCurve.default_with_startup()
     assert leak.power_w(5.0) == pytest.approx(leak.power_w(1.8))
-    assert leak.max_power_below(1.8) == pytest.approx(6.1e-5)
+    # the startup threshold beats the largest leakage below V_MIN, the 1.8 V knot
+    need = leak.power_w(1.8)
+    assert need == pytest.approx(6.1e-5)
+    h = powersim.HarvesterModel.default_active()
+    p_min = powersim.min_startup_incident_power(leak, h)
+    assert h.harvested_power_w(p_min) > need >= h.harvested_power_w(p_min - 1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
