@@ -13,7 +13,7 @@ p_min = powersim.min_startup_incident_power(leak, h)
 print("minimum incident power for cold start: %.2f dBm" % p_min)
 
 cap = powersim.Capacitor(powersim.DEFAULT_ACTIVE_CAP_F)
-t = powersim.time_to_voltage(cap, powersim.V_MIN, p_min + 1.0, h, leak, dt_s=1e-3)
+t = powersim.time_to_voltage(cap, p_min + 1.0, h, leak, dt_s=1e-3)
 print("charge to %.1f V at %.1f dBm: %.1f s"
       % (powersim.V_MIN, p_min + 1.0, t))
 
@@ -27,8 +27,9 @@ trace = powersim.run_active_fsm(
     duration_s=60.0, harvest_while_transmitting=False)
 sleeps = sum(1 for _, kind, _ in trace.events if kind == "sleep")
 window_j = powersim.Capacitor(1e-3).energy_at(2.6) - powersim.Capacitor(1e-3).energy_at(2.3)
+e_packet = powersim.ActiveNodeFSM.E_PACKET_J
 print("\n2.6 -> 2.3 V window holds %.0f packets of %.0f uJ each"
-      % (window_j / powersim.E_PACKET_J, powersim.E_PACKET_J * 1e6))
+      % (window_j / e_packet, e_packet * 1e6))
 print("\n60 s at +10 dBm: %d packets (%d bytes) in %d wake windows"
       % (trace.packets_sent, trace.bytes_sent, sleeps))
 print("energy ledger residual: %.2e J (conservation check)"

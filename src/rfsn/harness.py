@@ -65,8 +65,6 @@ class ExperimentConfig:
     # charge-sweep knobs
     charge_variant: str = "passive"  # passive | active
     capacitance_f: float = powersim.DEFAULT_PASSIVE_CAP_F
-    target_v: float = powersim.V_MIN
-    dt_s: float = 1e-3
     efficiency_scale: float = 1.0
     # calibration knobs
     anchor_eirp_dbm: float = 22.1
@@ -99,13 +97,16 @@ class ExperimentConfig:
         for build in (
             lambda: _engine_params(self),
             lambda: powersim.Capacitor(self.capacitance_f),
-            lambda: charge_models(self),
             *grid_points,
         ):
             try:
                 build()
             except ConfigurationError as exc:
                 problems.append(str(exc))
+        try:
+            charge_models(self)
+        except ConfigurationError as exc:
+            problems.append(f"efficiency_scale={self.efficiency_scale}: {exc}")
         if self.n0_w_per_hz <= 0:
             problems.append(f"n0_w_per_hz={self.n0_w_per_hz} must be positive")
         if self.template not in TEMPLATE_KINDS:
@@ -122,10 +123,10 @@ class ExperimentConfig:
             problems.append(f"base_seed={self.base_seed} must be >= 0")
         if self.charge_variant not in ("passive", "active"):
             problems.append(f"charge_variant={self.charge_variant!r} not passive/active")
-        if not 0 < self.dt_s <= 1e-3:
-            problems.append(f"dt_s={self.dt_s} outside (0, 1e-3]")
-        if not 0.0 < self.anchor_ber < 0.5:
-            problems.append(f"anchor_ber={self.anchor_ber} outside (0, 0.5)")
+        if not 1e-4 < self.anchor_ber < 0.4:
+            problems.append(
+                f"anchor_ber={self.anchor_ber} outside the calibratable range (1e-4, 0.4)"
+            )
         if problems:
             raise ConfigurationError("invalid config: " + "; ".join(dict.fromkeys(problems)))
 
@@ -161,6 +162,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines (# comments, blank lines allowed)."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs = {}
+    set_on = {}  # key -> the line that set it
     problems = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -174,6 +176,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in types:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
+        if key in set_on:
+            problems.append(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+            continue
+        set_on[key] = lineno
         try:
             kwargs[key] = _coerce(raw, types[key])
         except (ValueError, ConfigurationError) as exc:
@@ -454,7 +460,7 @@ def charge_models(cfg: ExperimentConfig) -> tuple[powersim.HarvesterModel, power
 
 
 def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
-    """Charge time to target voltage at the incident power of each sweep point.
+    """Charge time to V_MIN at the incident power of each sweep point.
 
     Sweep values are read along the configured axis as in run_ber_sweep, so
     EIRP and depth points go through the measured table.  The bandwidth axis
@@ -473,10 +479,10 @@ def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
     for value in cfg.sweep_values:
         _, pr = point(cfg, table, value)
         c = powersim.Capacitor(cfg.capacitance_f)
-        t = powersim.time_to_voltage(c, cfg.target_v, pr, harvester, leakage, cfg.dt_s)
+        t = powersim.time_to_voltage(c, pr, harvester, leakage)
         rows.append(
             ChargeRow(
-                cfg.sweep_axis, value, pr, cfg.charge_variant, cfg.capacitance_f, cfg.target_v, t
+                cfg.sweep_axis, value, pr, cfg.charge_variant, cfg.capacitance_f, powersim.V_MIN, t
             )
         )
     return rows
@@ -494,9 +500,7 @@ def fit_passive_efficiency_scale() -> float:
     def t_of(scale: float) -> float:
         c = powersim.Capacitor(powersim.DEFAULT_PASSIVE_CAP_F)
         h = base.with_scale(scale)
-        return powersim.time_to_voltage(
-            c, powersim.V_MIN, PASSIVE_ANCHOR_PR_DBM, h, leak, PASSIVE_ANCHOR_DT_S
-        )
+        return powersim.time_to_voltage(c, PASSIVE_ANCHOR_PR_DBM, h, leak, PASSIVE_ANCHOR_DT_S)
 
     lo, hi = 0.01, 1.0
     if not (t_of(hi) <= PASSIVE_ANCHOR_TIME_S <= t_of(lo)):
@@ -568,10 +572,6 @@ def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     anchor's Wilson band or the bracket closes below 0.02 dB.
     """
     cfg.validate()
-    if not 1e-4 < cfg.anchor_ber < 0.4:
-        raise CalibrationError(
-            f"anchor BER {cfg.anchor_ber} outside the calibratable range (1e-4, 0.4)"
-        )
     pr = channel.IncidentPowerTable.default().incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
     eng = BerEngine(_engine_params(cfg), cfg.template)
     n = cfg.n_symbols_calibration

@@ -11,16 +11,9 @@ import numpy as np
 from .channel import dbm_to_w
 from .errors import ConfigurationError
 
-# Active-node supervisor thresholds (volts).
-V_START = 3.2  # cold-start boot voltage
-V_WAKE = 2.6  # wake from sleep and resume transmitting
-V_SLEEP = 2.3  # stop transmitting, go back to sleep
-V_MIN = 1.8  # brown-out floor; dying below this during boot is fatal
-
-E_BOOT_J = 1.68e-3  # radio + stack bring-up cost
-E_PACKET_J = 177e-6  # one 105-byte MSDU transmission
-MSDU_BYTES = 105
-PACKET_TIME_S = 1e-3
+# Brown-out floor (volts): the MCU threshold every charge time is measured
+# to, and the active node dies if its boot leaves it below this.
+V_MIN = 1.8
 
 # Euler step of run_active_fsm's charge and sleep phases.
 FSM_DT_S = 1e-3
@@ -208,13 +201,12 @@ class LeakageCurve:
 
 def time_to_voltage(
     c: Capacitor,
-    v_target: float,
     pr_dbm: float,
     harvester: HarvesterModel,
     leakage: LeakageCurve,
     dt_s: float = 1e-3,
 ) -> float:
-    """Seconds to charge to v_target at constant incident power; inf if never.
+    """Seconds to charge to V_MIN at constant incident power; inf if never.
 
     Forward-Euler on stored energy with dt <= 1 ms.  A run of STALL_STEPS
     consecutive steps with no energy gain declares the target unreachable.
@@ -227,8 +219,8 @@ def time_to_voltage(
     v = c.v_volts
     t = 0.0
     stalled = 0
-    leak_w, euler, sqrt = leakage.power_w, euler_step, math.sqrt
-    while v < v_target:
+    v_min, leak_w, euler, sqrt = V_MIN, leakage.power_w, euler_step, math.sqrt
+    while v < v_min:
         e_next = euler(e, p_in, leak_w(v), dt_s)[0]
         stalled = stalled + 1 if e_next <= e else 0
         if stalled >= STALL_STEPS:
@@ -258,26 +250,19 @@ def min_startup_incident_power(leak: LeakageCurve, h: HarvesterModel) -> float:
     return hi_dbm
 
 
-@dataclass(frozen=True)
 class ActiveNodeFSM:
-    """Thresholds and per-event energy costs of the actively transmitting node."""
+    """Thresholds and per-event energy costs of the actively transmitting node.
 
-    v_start: float = V_START
-    v_wake: float = V_WAKE
-    v_sleep: float = V_SLEEP
-    v_min: float = V_MIN
-    e_boot_j: float = E_BOOT_J
-    e_packet_j: float = E_PACKET_J
-    msdu_bytes: int = MSDU_BYTES
-    packet_time_s: float = PACKET_TIME_S
+    A boot that leaves the node below the module's V_MIN kills it.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.v_min < self.v_sleep < self.v_wake < self.v_start:
-            raise ConfigurationError(
-                "thresholds must satisfy v_min < v_sleep < v_wake < v_start"
-            )
-        if min(self.e_boot_j, self.e_packet_j, self.packet_time_s) <= 0:
-            raise ConfigurationError("energy costs and packet time must be positive")
+    V_START = 3.2  # cold-start boot voltage
+    V_WAKE = 2.6  # wake from sleep and resume transmitting
+    V_SLEEP = 2.3  # stop transmitting, go back to sleep
+    E_BOOT_J = 1.68e-3  # radio + stack bring-up cost
+    E_PACKET_J = 177e-6  # one 105-byte MSDU transmission
+    MSDU_BYTES = 105
+    PACKET_TIME_S = 1e-3
 
 
 @dataclass
@@ -316,14 +301,15 @@ def run_active_fsm(
 ) -> SimTrace:
     """Duty-cycle simulation of the active node at constant incident power.
 
-    Cold-charges to v_start, pays the boot cost, then alternates transmit
+    Cold-charges to fsm.V_START, pays the boot cost, then alternates transmit
     bursts (packets sent back-to-back while the budget allows dropping no
-    lower than v_sleep) with recharge sleeps up to v_wake.  Charge and sleep
-    steps last FSM_DT_S, packet steps one packet time.
+    lower than fsm.V_SLEEP) with recharge sleeps up to fsm.V_WAKE.  Charge and
+    sleep steps last FSM_DT_S, packet steps fsm.PACKET_TIME_S.
     """
     p_in = h.harvested_power_w(pr_dbm)
     pin_tx = p_in if harvest_while_transmitting else 0.0
-    pt = fsm.packet_time_s
+    pt, e_packet, e_boot = fsm.PACKET_TIME_S, fsm.E_PACKET_J, fsm.E_BOOT_J
+    v_wake, v_min = fsm.V_WAKE, V_MIN
     dt = FSM_DT_S
     cap = c.capacitance_f
     e = c.energy_j
@@ -333,15 +319,15 @@ def run_active_fsm(
     state = COLD
     t = 0.0
     trace.log(t, "start", v)
-    e_sleep = c.energy_at(fsm.v_sleep)
-    v_up = fsm.v_start  # the threshold that ends a charge: v_start cold, v_wake after boot
+    e_sleep = c.energy_at(fsm.V_SLEEP)
+    v_up = fsm.V_START  # the threshold that ends a charge: V_START cold, V_WAKE after boot
     leak_w, euler, sqrt = leak.power_w, euler_step, math.sqrt
 
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s:
         p_step, p_out, step, event = p_in, leak_w(v), dt, None
         if state == TRANSMITTING:
-            drain = p_out * pt + fsm.e_packet_j
+            drain = p_out * pt + e_packet
             if e + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
                 p_step, p_out, step, event = pin_tx, drain / pt, pt, "packet"
             else:
@@ -360,20 +346,20 @@ def run_active_fsm(
         elif v >= v_up:
             if state == COLD:
                 # boot is an impulse: the whole bring-up cost at once
-                e, got, used = euler(e, 0.0, fsm.e_boot_j / dt, dt)
+                e, got, used = euler(e, 0.0, e_boot / dt, dt)
                 v = sqrt(2.0 * e / cap)
                 harvested += got
                 consumed += used
                 trace.log(t, "boot", v)
-                if v < fsm.v_min:
+                if v < v_min:
                     trace.log(t + dt, "dead", v)
                     break
-                v_up = fsm.v_wake
+                v_up = v_wake
             else:
                 trace.log(t, "wake", v)
             state = TRANSMITTING
 
-    trace.bytes_sent = trace.packets_sent * fsm.msdu_bytes
+    trace.bytes_sent = trace.packets_sent * fsm.MSDU_BYTES
     trace.harvested_j = harvested
     trace.consumed_j = consumed
     trace.final_energy_j = e

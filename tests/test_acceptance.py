@@ -153,8 +153,8 @@ def test_criterion_6_startup_power_threshold_and_reachability():
     # circuit still reaches the MCU threshold
     pr = 0.0
     c = powersim.Capacitor(1e-3)
-    t_without = powersim.time_to_voltage(c, 1.8, pr, h, without)
-    t_with = powersim.time_to_voltage(c, 1.8, pr, h, with_sc)
+    t_without = powersim.time_to_voltage(c, pr, h, without)
+    t_with = powersim.time_to_voltage(c, pr, h, with_sc)
     ok = abs(p_min - 5.4) <= 0.2 and t_without == math.inf and t_with < math.inf
     _report(
         6,
@@ -172,12 +172,12 @@ def test_criterion_7_charge_time_brackets():
     h_p = powersim.HarvesterModel.default_passive().with_scale(scale)
     leak_p = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     t_passive = powersim.time_to_voltage(
-        powersim.Capacitor(22e-6), 1.8, -8.1, h_p, leak_p, dt_s=5e-4
+        powersim.Capacitor(22e-6), -8.1, h_p, leak_p, dt_s=5e-4
     )
     h_a = powersim.HarvesterModel.default_active()
     leak_a = powersim.LeakageCurve.default_with_startup()
     t_active = powersim.time_to_voltage(
-        powersim.Capacitor(1e-3), 1.8, -1.5, h_a, leak_a
+        powersim.Capacitor(1e-3), -1.5, h_a, leak_a
     )
     ok = 10.0 <= t_passive <= 25.0 and 4.0 <= t_active <= 10.0
     _report(
@@ -350,7 +350,7 @@ def test_criterion_10_energy_ledger_and_packet_window():
         harvest_while_transmitting=False,
     )
     rel_residual = abs(trace.energy_residual_j()) / max(trace.harvested_j, 1e-12)
-    want = math.floor((cap.energy_at(2.6) - cap.energy_at(2.3)) / powersim.E_PACKET_J)
+    want = math.floor((cap.energy_at(2.6) - cap.energy_at(2.3)) / fsm.E_PACKET_J)
     # packets sent between consecutive sleeps = one full wake window
     windows = []
     count = 0

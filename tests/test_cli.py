@@ -169,6 +169,7 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         (["ber-sweep"], "base_seed = -2\n"),
         (["calibrate"], "n_symbols_calibration = -5\n"),
         (["theory"], "depth_cm = 0\n"),
+        (["calibrate", "--anchor-ber", "0.45"], None),
     ],
     ids=[
         "overflowed-rate",
@@ -176,6 +177,7 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         "negative-seed-key",
         "negative-calibration-size",
         "depth-off-the-measured-grid",
+        "anchor-ber-outside-the-calibratable-range",
     ],
 )
 def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys):

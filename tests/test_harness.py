@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rfsn import channel, chirp, cli, harness, powersim, rxdsp
-from rfsn.errors import CalibrationError, ConfigurationError
+from rfsn.errors import ConfigurationError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -106,11 +107,17 @@ def test_validate_rejects_points_off_the_measured_grid():
 @pytest.mark.parametrize("variant, scale", [("passive", 5.0), ("active", 1.7), ("passive", 0.0)])
 def test_validate_rejects_an_efficiency_scale_the_charge_sweep_refuses(variant, scale):
     text = f"charge_variant = {variant}\nefficiency_scale = {scale}\n"
-    with pytest.raises(ConfigurationError, match="scaled efficiency must stay within"):
+    want = re.escape(f"efficiency_scale={scale}: scaled efficiency must stay within")
+    with pytest.raises(ConfigurationError, match=want):
         harness.parse_config(text)
     # the largest scale each variant's efficiency curve allows is valid
     top = 1.0 / 0.62 if variant == "active" else 1.0 / 0.50
     harness.ExperimentConfig(charge_variant=variant, efficiency_scale=top).validate()
+
+
+def test_parse_config_rejects_a_repeated_key():
+    with pytest.raises(ConfigurationError, match="line 3: key 'sf' already set on line 1"):
+        harness.parse_config("sf = 7\nfosc_hz = 1e6\nsf = 9\n")
 
 
 def test_load_config(tmp_path):
@@ -422,7 +429,6 @@ def test_charge_sweep_passive_and_never():
         charge_variant="passive",
         sweep_values=[-2.3, -20.0],
         capacitance_f=22e-6,
-        target_v=1.8,
     )
     rows = harness.run_charge_sweep(cfg)
     assert rows[0].time_s < math.inf
@@ -451,7 +457,7 @@ def test_fit_passive_efficiency_scale_hits_anchor():
     h = powersim.HarvesterModel.default_passive().with_scale(scale)
     leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     c = powersim.Capacitor(22e-6)
-    t = powersim.time_to_voltage(c, 1.8, -2.3, h, leak, dt_s=5e-4)
+    t = powersim.time_to_voltage(c, -2.3, h, leak, dt_s=5e-4)
     assert t == pytest.approx(0.9, abs=0.02)
 
 
@@ -485,5 +491,5 @@ def test_calibrate_matches_anchor_ber():
 
 def test_calibrate_rejects_absurd_anchor():
     cfg = harness.ExperimentConfig(anchor_ber=0.49)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ConfigurationError, match=r"anchor_ber=0.49 outside .*\(1e-4, 0.4\)"):
         harness.calibrate_composite_gain(cfg)
