@@ -46,17 +46,14 @@ class IncidentPowerTable:
         grid = np.full((len(eirps), len(depths)), np.nan)
         for e, d, p in rows:
             grid[eirps.index(e), depths.index(d)] = p
+        if np.isnan(grid).any():
+            raise ConfigurationError("incident power grid has missing cells")
+        if np.any(np.diff(grid, axis=0) <= 0):
+            raise ConfigurationError("incident power must increase with EIRP at every depth")
         table = cls(np.array(eirps), np.array(depths), grid)
         for a in (table.eirp_dbm, table.depth_cm, table.pr_dbm):
             a.flags.writeable = False
-        table.validate()
         return table
-
-    def validate(self) -> None:
-        if np.isnan(self.pr_dbm).any():
-            raise ConfigurationError("incident power grid has missing cells")
-        if np.any(np.diff(self.pr_dbm, axis=0) <= 0):
-            raise ConfigurationError("incident power must increase with EIRP at every depth")
 
     def incident_power_dbm(self, eirp_dbm: float, depth_cm: float) -> float:
         """Bilinear interpolation on the measurement grid; no extrapolation."""

@@ -89,8 +89,6 @@ def derive_params(sf: int, fosc_hz: float, fs_hz: float | None = None) -> ChirpP
 
     bw = fosc/8 (the 8-clock minimum square-wave period); fs defaults to 16*bw.
     """
-    if not SF_MIN <= sf <= SF_MAX:
-        raise ConfigurationError(f"sf must lie in [{SF_MIN}, {SF_MAX}], got {sf}")
     if fosc_hz <= 0:
         raise ConfigurationError(f"fosc_hz must be positive, got {fosc_hz}")
     bw = fosc_hz / MIN_CLOCKS_PER_PERIOD

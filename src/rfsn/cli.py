@@ -60,14 +60,12 @@ def _emit_dict(d: dict, fmt: str, out_path: str | None) -> None:
         _write_text(_csv_text(["key", "value"], d.items()), out_path)
 
 
-def _load_cfg(args) -> harness.ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = harness.load_config(args.config)
-    else:
-        cfg = harness.ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.base_seed = args.seed
-    return cfg
+def _load_cfg(args, **flags) -> harness.ExperimentConfig:
+    """The --config file (or the defaults) with every given flag applied in
+    one dataclasses.replace, which validates the result."""
+    cfg = harness.load_config(args.config) if args.config else harness.ExperimentConfig()
+    flags["base_seed"] = args.seed
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_symbols(text: str) -> list[int]:
@@ -139,24 +137,13 @@ def cmd_spectrum(args) -> None:
     )
 
 
-def cmd_ber_sweep(args) -> None:
-    _write_text(rows_text(harness.run_ber_sweep(_load_cfg(args)), args.format), args.out)
-
-
-def cmd_charge_sweep(args) -> None:
-    _write_text(rows_text(harness.run_charge_sweep(_load_cfg(args)), args.format), args.out)
-
-
-def cmd_theory(args) -> None:
-    _write_text(rows_text(harness.run_theory_report(_load_cfg(args)), args.format), args.out)
+def cmd_rows(args) -> None:
+    """Rows of the harness entry point the subcommand selected as args.run."""
+    _write_text(rows_text(args.run(_load_cfg(args)), args.format), args.out)
 
 
 def cmd_calibrate(args) -> None:
-    cfg = _load_cfg(args)
-    if args.anchor_eirp is not None:
-        cfg.anchor_eirp_dbm = args.anchor_eirp
-    if args.anchor_ber is not None:
-        cfg.anchor_ber = args.anchor_ber
+    cfg = _load_cfg(args, anchor_eirp_dbm=args.anchor_eirp, anchor_ber=args.anchor_ber)
     res = harness.calibrate_composite_gain(cfg)
     _emit_dict(dataclasses.asdict(res), args.format, args.out)
 
@@ -209,17 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ber-sweep", help="Monte-Carlo BER sweep")
     add_cfg_args(sp)
     add_common(sp)
-    sp.set_defaults(func=cmd_ber_sweep)
+    sp.set_defaults(func=cmd_rows, run=harness.run_ber_sweep)
 
     sp = sub.add_parser("charge-sweep", help="capacitor charge times vs incident power")
     add_cfg_args(sp)
     add_common(sp)
-    sp.set_defaults(func=cmd_charge_sweep)
+    sp.set_defaults(func=cmd_rows, run=harness.run_charge_sweep)
 
     sp = sub.add_parser("theory", help="closed-form per-bandwidth report")
     add_cfg_args(sp)
     add_common(sp)
-    sp.set_defaults(func=cmd_theory)
+    sp.set_defaults(func=cmd_rows, run=harness.run_theory_report)
 
     sp = sub.add_parser("calibrate", help="fit composite link gain to an anchor BER")
     add_cfg_args(sp)

@@ -46,7 +46,7 @@ PASSIVE_ANCHOR_TIME_S = 0.9
 PASSIVE_ANCHOR_DT_S = 5e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description, read from `key = value` files."""
 
@@ -71,13 +71,16 @@ class ExperimentConfig:
     anchor_ber: float = 0.162
     n_symbols_calibration: int = 30000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise one ConfigurationError naming every problem with this config.
 
-        The chirp, capacitor and charge-model settings are checked by
-        building the objects that own those checks, and the (EIRP, depth)
-        points of the base, of the calibration anchor and of an eirp_dbm or
-        depth_cm sweep by looking them up in the measured incident-power table.
+        The config is frozen, so one that exists is valid; change it with
+        dataclasses.replace, which checks the copy.  The chirp, capacitor and
+        charge-model settings are checked by building the objects that own
+        those checks, the (EIRP, depth) points of the base and of the
+        calibration anchor by looking them up in the measured incident-power
+        table, and every sweep point by resolving it as the sweeps do and
+        building the chirp params of its clock.
         """
         problems = []
         for f in fields(self):
@@ -87,26 +90,25 @@ class ExperimentConfig:
             elif f.type == "list[float]" and not all(math.isfinite(x) for x in v):
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
         table = channel.IncidentPowerTable.default()
-        grid_points = [
-            lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm),
-            lambda: table.incident_power_dbm(self.anchor_eirp_dbm, self.depth_cm),
-        ]
-        if self.sweep_axis in ("eirp_dbm", "depth_cm"):
-            axis = SWEEP_AXES[self.sweep_axis]
-            grid_points += [lambda v=v: axis(self, table, v) for v in self.sweep_values]
-        for build in (
-            lambda: _engine_params(self),
-            lambda: powersim.Capacitor(self.capacitance_f),
-            *grid_points,
-        ):
+
+        def check(build, key=""):
+            """build(), or None with its problem noted under key unless already named."""
             try:
-                build()
+                return build()
             except ConfigurationError as exc:
-                problems.append(str(exc))
-        try:
-            charge_models(self)
-        except ConfigurationError as exc:
-            problems.append(f"efficiency_scale={self.efficiency_scale}: {exc}")
+                if str(exc) not in problems:
+                    problems.append(f"{key}: {exc}" if key else str(exc))
+
+        check(lambda: _engine_params(self))
+        check(lambda: powersim.Capacitor(self.capacitance_f), f"capacitance_f={self.capacitance_f}")
+        check(lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm))
+        check(lambda: table.incident_power_dbm(self.anchor_eirp_dbm, self.depth_cm))
+        point = SWEEP_AXES.get(self.sweep_axis)
+        for v in self.sweep_values if point else ():
+            resolved = check(lambda: point(self, table, v))
+            if resolved:
+                check(lambda: _engine_params(self, resolved[0]), f"{self.sweep_axis}={v}")
+        check(lambda: charge_models(self), f"efficiency_scale={self.efficiency_scale}")
         if self.n0_w_per_hz <= 0:
             problems.append(f"n0_w_per_hz={self.n0_w_per_hz} must be positive")
         if self.template not in TEMPLATE_KINDS:
@@ -186,9 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"line {lineno}: bad value for {key}: {exc}")
     if problems:
         raise ConfigurationError("config parse failed: " + "; ".join(problems))
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -402,7 +402,6 @@ class SweepRow:
 
 def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Monte-Carlo BER across the configured sweep axis, one seeded row per point."""
-    cfg.validate()
     table = channel.IncidentPowerTable.default()
     point = SWEEP_AXES[cfg.sweep_axis]
     rows = []
@@ -466,7 +465,6 @@ def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
     EIRP and depth points go through the measured table.  The bandwidth axis
     leaves the incident power fixed and is rejected.
     """
-    cfg.validate()
     if cfg.sweep_axis == "bandwidth_hz":
         raise ConfigurationError(
             "sweep_axis='bandwidth_hz' leaves the incident power unchanged, "
@@ -533,7 +531,6 @@ TABLE_CLOCKS_HZ = (32768.0, 1e6, 2e6, 4e6)
 
 def run_theory_report(cfg: ExperimentConfig) -> list[TheoryRow]:
     """Closed-form timing, rate, SNR, BER and burst-hit rate per oscillator clock."""
-    cfg.validate()
     table = channel.IncidentPowerTable.default()
     pr = table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm)
     ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
@@ -571,7 +568,6 @@ def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     monotone decreasing in gain.  Stops when the achieved BER sits inside the
     anchor's Wilson band or the bracket closes below 0.02 dB.
     """
-    cfg.validate()
     pr = channel.IncidentPowerTable.default().incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
     eng = BerEngine(_engine_params(cfg), cfg.template)
     n = cfg.n_symbols_calibration

@@ -5,6 +5,7 @@ a full `pytest -v` run yields a one-line verdict per criterion regardless of
 which ones fail.
 """
 
+import dataclasses
 import math
 import time
 
@@ -204,7 +205,7 @@ def calibrated_eirp_sweep():
         n_symbols_calibration=30000,
     )
     cal = harness.calibrate_composite_gain(cfg)
-    cfg.composite_gain_db = cal.composite_gain_db
+    cfg = dataclasses.replace(cfg, composite_gain_db=cal.composite_gain_db)
     return harness.run_ber_sweep(cfg)
 
 

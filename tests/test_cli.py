@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rfsn import harness
 from rfsn.cli import main
 from rfsn.waveform import Waveform
 
@@ -170,6 +171,7 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         (["calibrate"], "n_symbols_calibration = -5\n"),
         (["theory"], "depth_cm = 0\n"),
         (["calibrate", "--anchor-ber", "0.45"], None),
+        (["ber-sweep"], "sweep_axis = bandwidth_hz\nsweep_values = 4096, -4096\n"),
     ],
     ids=[
         "overflowed-rate",
@@ -178,9 +180,15 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         "negative-calibration-size",
         "depth-off-the-measured-grid",
         "anchor-ber-outside-the-calibratable-range",
+        "bandwidth-point-with-a-negative-clock",
     ],
 )
-def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys):
+def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran on an invalid config")
+
+    # every bad value is refused when the config is built, before any work
+    monkeypatch.setattr(harness.BerEngine, "run", refuse)
     if cfg_text is not None:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(cfg_text)

@@ -48,16 +48,12 @@ def test_parse_config_unknown_key_rejected():
         ),
         ("eirp_dbm = inf\n", 1),
         ("sweep_values = 1, -inf\n", 1),
-        # built in code: only validate() sees these values
+        # built in code: construction checks these values, as parsing does
         pytest.param(
-            harness.ExperimentConfig(n0_w_per_hz=math.nan, sweep_values=[math.nan]),
-            None,
-            id="built-nan",
+            dict(n0_w_per_hz=math.nan, sweep_values=[math.nan]), None, id="built-nan"
         ),
         pytest.param(
-            harness.ExperimentConfig(eirp_dbm=math.inf, sweep_values=[1.0, -math.inf]),
-            None,
-            id="built-inf",
+            dict(eirp_dbm=math.inf, sweep_values=[1.0, -math.inf]), None, id="built-inf"
         ),
     ],
 )
@@ -66,16 +62,15 @@ def test_parse_config_rejects_non_finite(text, lineno):
         with pytest.raises(
             ConfigurationError, match=r"=(nan|inf) is not finite; sweep_values=.* non-finite"
         ):
-            text.validate()
+            harness.ExperimentConfig(**text)
         return
     with pytest.raises(ConfigurationError, match=f"line {lineno}: .*non-finite"):
         harness.parse_config(text)
 
 
 def test_validate_collects_all_problems():
-    cfg = harness.ExperimentConfig(sf=99, template="nope", sweep_axis="sideways")
     with pytest.raises(ConfigurationError) as err:
-        cfg.validate()
+        harness.ExperimentConfig(sf=99, template="nope", sweep_axis="sideways")
     msg = str(err.value)
     assert "sf" in msg and "template" in msg and "sweep" in msg
 
@@ -84,18 +79,17 @@ def test_validate_rejects_points_off_the_measured_grid():
     with pytest.raises(ConfigurationError, match=r"\(22.1 dBm, 0.0 cm\) outside the measured grid"):
         harness.parse_config("depth_cm = 0\n")
     # every sweep point along an EIRP or depth axis, in the one message
-    cfg = harness.ExperimentConfig(sf=99, sweep_values=[22.1, 40.0, 9.0])
     with pytest.raises(ConfigurationError) as err:
-        cfg.validate()
+        harness.ExperimentConfig(sf=99, sweep_values=[22.1, 40.0, 9.0])
     msg = str(err.value)
     assert "sf" in msg and "(40.0 dBm, 13.5 cm) outside" in msg and "(9.0 dBm, 13.5 cm)" in msg
     with pytest.raises(ConfigurationError, match=r"\(22.1 dBm, 20.0 cm\) outside"):
-        harness.ExperimentConfig(sweep_axis="depth_cm", sweep_values=[3.5, 20.0]).validate()
+        harness.ExperimentConfig(sweep_axis="depth_cm", sweep_values=[3.5, 20.0])
     # a pr_dbm sweep still needs its base point on the grid
     with pytest.raises(ConfigurationError, match=r"\(5.0 dBm, 13.5 cm\) outside"):
-        harness.ExperimentConfig(eirp_dbm=5.0, sweep_axis="pr_dbm", sweep_values=[-95.0]).validate()
+        harness.ExperimentConfig(eirp_dbm=5.0, sweep_axis="pr_dbm", sweep_values=[-95.0])
     # other axes' values are not EIRPs or depths
-    harness.ExperimentConfig(sweep_axis="bandwidth_hz", sweep_values=[4096.0]).validate()
+    harness.ExperimentConfig(sweep_axis="bandwidth_hz", sweep_values=[4096.0])
     # the calibration anchor, named once where it equals the base point
     with pytest.raises(ConfigurationError, match=r"\(5.0 dBm, 13.5 cm\) outside"):
         harness.parse_config("anchor_eirp_dbm = 5\n")
@@ -112,7 +106,33 @@ def test_validate_rejects_an_efficiency_scale_the_charge_sweep_refuses(variant, 
         harness.parse_config(text)
     # the largest scale each variant's efficiency curve allows is valid
     top = 1.0 / 0.62 if variant == "active" else 1.0 / 0.50
-    harness.ExperimentConfig(charge_variant=variant, efficiency_scale=top).validate()
+    harness.ExperimentConfig(charge_variant=variant, efficiency_scale=top)
+
+
+def test_validate_builds_the_clock_of_every_bandwidth_point():
+    # a bandwidth point sets the chirp clock (8 * bw), so a bad one fails at parse time
+    want = re.escape("bandwidth_hz=-4096.0: fosc_hz must be positive, got -32768.0")
+    with pytest.raises(ConfigurationError, match=want):
+        harness.parse_config("sweep_axis = bandwidth_hz\nsweep_values = 4096, -4096\n")
+    # a bad sf is named once, not again for each bandwidth point
+    with pytest.raises(ConfigurationError) as err:
+        harness.ExperimentConfig(sf=99, sweep_axis="bandwidth_hz", sweep_values=[4096.0, 1e6])
+    assert str(err.value) == "invalid config: sf must lie in [5, 12], got 99"
+
+
+def test_validate_names_the_capacitance_key():
+    want = re.escape("capacitance_f=0.0: capacitance must be positive, got 0.0")
+    with pytest.raises(ConfigurationError, match=want):
+        harness.parse_config("capacitance_f = 0\n")
+
+
+def test_config_is_frozen_and_validated_on_replace():
+    cfg = harness.ExperimentConfig()
+    with pytest.raises(ConfigurationError, match=r"base_seed=-1 must be >= 0"):
+        dataclasses.replace(cfg, base_seed=-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.base_seed = -1
+    assert cfg.base_seed == 1234
 
 
 def test_parse_config_rejects_a_repeated_key():
@@ -490,6 +510,5 @@ def test_calibrate_matches_anchor_ber():
 
 
 def test_calibrate_rejects_absurd_anchor():
-    cfg = harness.ExperimentConfig(anchor_ber=0.49)
     with pytest.raises(ConfigurationError, match=r"anchor_ber=0.49 outside .*\(1e-4, 0.4\)"):
-        harness.calibrate_composite_gain(cfg)
+        harness.ExperimentConfig(anchor_ber=0.49)
