@@ -11,7 +11,6 @@ from .chirp import (
     ChirpParams,
     PowerSpectrum,
     derive_params,
-    instantaneous_frequency,
     modulate_ideal,
     modulate_quantized,
     quantize_toggles,

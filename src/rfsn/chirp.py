@@ -106,15 +106,6 @@ def _check_symbol(symbol: int, p: ChirpParams) -> None:
         raise ConfigurationError(f"symbol {symbol} out of range [0, {p.n_bins})")
 
 
-def instantaneous_frequency(symbol: int, t: float, p: ChirpParams) -> float:
-    """Frequency of the chirp at time t within the symbol, with modulo-bw wrap."""
-    _check_symbol(symbol, p)
-    if not 0 <= t < p.ds_s:
-        raise ConfigurationError(f"t={t} outside symbol window [0, {p.ds_s})")
-    f_start = symbol * p.bw_hz / p.n_bins
-    return (f_start + p.bw_hz * t / p.ds_s) % p.bw_hz
-
-
 def _phase_terms(symbol, p: ChirpParams, t):
     """(ramp, wrap) with phase = phi0 + ramp - wrap; broadcasts over symbol and t.
 

@@ -58,7 +58,7 @@ class ExperimentConfig:
     composite_gain_db: float = 0.0
     template: str = "square-quantized"
     sweep_axis: str = "eirp_dbm"
-    sweep_values: list[float] = field(default_factory=lambda: [22.1, 23.0, 24.0, 25.0])
+    sweep_values: tuple[float, ...] = (22.1, 23.0, 24.0, 25.0)
     n_symbols: int = 20000
     base_seed: int = 1234
     bursts_enabled: bool = False
@@ -79,15 +79,16 @@ class ExperimentConfig:
         charge-model settings are checked by building the objects that own
         those checks, the (EIRP, depth) points of the base and of the
         calibration anchor by looking them up in the measured incident-power
-        table, and every sweep point by resolving it as the sweeps do and
-        building the chirp params of its clock.
+        table, and every sweep point as the sweeps resolve it: the chirp params
+        of its clock and its power in watts.  sweep_values is kept as a tuple.
         """
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         problems = []
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(v):
                 problems.append(f"{f.name}={v!r} is not finite")
-            elif f.type == "list[float]" and not all(math.isfinite(x) for x in v):
+            elif f.type == "tuple[float, ...]" and not all(math.isfinite(x) for x in v):
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
         table = channel.IncidentPowerTable.default()
 
@@ -107,7 +108,9 @@ class ExperimentConfig:
         for v in self.sweep_values if point else ():
             resolved = check(lambda: point(self, table, v))
             if resolved:
-                check(lambda: _engine_params(self, resolved[0]), f"{self.sweep_axis}={v}")
+                key = f"{self.sweep_axis}={v}"
+                check(lambda: _engine_params(self, resolved[0]), key)
+                check(lambda: channel.dbm_to_w(resolved[1] + self.composite_gain_db), key)
         check(lambda: charge_models(self), f"efficiency_scale={self.efficiency_scale}")
         if self.n0_w_per_hz <= 0:
             problems.append(f"n0_w_per_hz={self.n0_w_per_hz} must be positive")
@@ -147,8 +150,8 @@ def _coerce(raw: str, type_name: str):
         return finite_float(raw)
     if type_name == "str":
         return raw
-    if type_name == "list[float]":
-        return [finite_float(v) for v in raw.split(",") if v.strip()]
+    if type_name == "tuple[float, ...]":
+        return tuple(finite_float(v) for v in raw.split(",") if v.strip())
     raise ConfigurationError(f"unsupported config field type {type_name}")
 
 

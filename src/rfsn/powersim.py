@@ -30,6 +30,10 @@ STALL_STEPS = 1000
 # Incident-power range (dBm) searched by min_startup_incident_power.
 STARTUP_SEARCH_DBM = (-60.0, 40.0)
 
+# Most Euler steps _coast runs in one numpy call group, which bounds its
+# temporaries to a few hundred kB.
+_COAST_STEPS = 4096
+
 
 @dataclass(frozen=True)
 class Capacitor:
@@ -143,6 +147,8 @@ class LeakageCurve:
     _log_powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # power_w is constant from this voltage up: the last knot, or -inf for one knot
+    _flat_from: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.points
@@ -164,6 +170,7 @@ class LeakageCurve:
             "_slopes",
             tuple((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)),
         )
+        object.__setattr__(self, "_flat_from", xs[-1] if len(xs) > 1 else -math.inf)
 
     @classmethod
     def default_without_startup(cls) -> "LeakageCurve":
@@ -199,6 +206,31 @@ class LeakageCurve:
         return float(np.exp(self._slopes[j] * (v_volts - xs[j]) + self._log_powers[j]))
 
 
+def _coast(e, t, p_in_w, p_out_w, dt_s, cap, v_stop, t_stop, harvested=0.0, consumed=0.0):
+    """Take euler_step's steps at constant powers while each starts before t_stop,
+    gains energy (so nothing clamps or stalls) and ends below v_stop.  Returns
+    (e, v, t, harvested, consumed) after them.  np.add.accumulate adds left to right,
+    so over [e, h, -c, h, -c, ...] each partial sum rounds as (e + h) - c does.
+    """
+    h, c = p_in_w * dt_s, p_out_w * dt_s
+    while True:
+        e1 = (e + h) - c
+        if not (t < t_stop and e < e1 and math.sqrt(2.0 * e1 / cap) < v_stop):
+            return e, math.sqrt(2.0 * e / cap), t, harvested, consumed
+        # up to _COAST_STEPS steps, sized to end near the stop
+        n = 2 + int(max(0.0, min(
+            _COAST_STEPS - 2, (0.5 * cap * v_stop * v_stop - e) / (e1 - e), (t_stop - t) / dt_s
+        )))
+        inc = np.empty(2 * n + 1)
+        inc[0], inc[1::2], inc[2::2] = e, h, -c
+        run = np.full((n + 1, 3), (dt_s, h, c))
+        run[0] = t, harvested, consumed
+        es, run = np.add.accumulate(inc)[::2], np.add.accumulate(run)  # run: t and the ledgers
+        ok = (run[:-1, 0] < t_stop) & (es[:-1] < es[1:]) & (np.sqrt(2.0 * es[1:] / cap) < v_stop)
+        k = int(np.argmin(np.append(ok, False)))
+        e, (t, harvested, consumed) = float(es[k]), run[k].tolist()
+
+
 def time_to_voltage(
     c: Capacitor,
     pr_dbm: float,
@@ -210,6 +242,7 @@ def time_to_voltage(
 
     Forward-Euler on stored energy with dt <= 1 ms.  A run of STALL_STEPS
     consecutive steps with no energy gain declares the target unreachable.
+    Where the leakage is flat, steps that gain and end below V_MIN run in _coast.
     """
     if dt_s > 1e-3 or dt_s <= 0:
         raise ConfigurationError("dt must lie in (0, 1e-3] s")
@@ -219,7 +252,8 @@ def time_to_voltage(
     v = c.v_volts
     t = 0.0
     stalled = 0
-    v_min, leak_w, euler, sqrt = V_MIN, leakage.power_w, euler_step, math.sqrt
+    v_min, v_flat, leak_w = V_MIN, leakage._flat_from, leakage.power_w
+    euler, sqrt = euler_step, math.sqrt
     while v < v_min:
         e_next = euler(e, p_in, leak_w(v), dt_s)[0]
         stalled = stalled + 1 if e_next <= e else 0
@@ -228,6 +262,10 @@ def time_to_voltage(
         e = e_next
         v = sqrt(2.0 * e / cap)  # as Capacitor.v_volts
         t += dt_s
+        if v >= v_flat:
+            # stalled stays right: a coast takes steps only after a gaining step,
+            # since (e + h) - c is monotone in e at fixed h and c
+            e, v, t = _coast(e, t, p_in, leak_w(v), dt_s, cap, v_min, math.inf)[:3]
     return t
 
 
@@ -304,7 +342,8 @@ def run_active_fsm(
     Cold-charges to fsm.V_START, pays the boot cost, then alternates transmit
     bursts (packets sent back-to-back while the budget allows dropping no
     lower than fsm.V_SLEEP) with recharge sleeps up to fsm.V_WAKE.  Charge and
-    sleep steps last FSM_DT_S, packet steps fsm.PACKET_TIME_S.
+    sleep steps last FSM_DT_S, packet steps fsm.PACKET_TIME_S; where the leakage
+    is flat, the charge and sleep steps that cause no event run in _coast.
     """
     p_in = h.harvested_power_w(pr_dbm)
     pin_tx = p_in if harvest_while_transmitting else 0.0
@@ -321,7 +360,7 @@ def run_active_fsm(
     trace.log(t, "start", v)
     e_sleep = c.energy_at(fsm.V_SLEEP)
     v_up = fsm.V_START  # the threshold that ends a charge: V_START cold, V_WAKE after boot
-    leak_w, euler, sqrt = leak.power_w, euler_step, math.sqrt
+    leak_w, euler, sqrt, v_flat = leak.power_w, euler_step, math.sqrt, leak._flat_from
 
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s:
@@ -358,6 +397,10 @@ def run_active_fsm(
             else:
                 trace.log(t, "wake", v)
             state = TRANSMITTING
+        if state != TRANSMITTING and v >= v_flat:
+            e, v, t, harvested, consumed = _coast(
+                e, t, p_in, leak_w(v), dt, cap, v_up, duration_s, harvested, consumed
+            )
 
     trace.bytes_sent = trace.packets_sent * fsm.MSDU_BYTES
     trace.harvested_j = harvested

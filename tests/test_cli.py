@@ -172,6 +172,7 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         (["theory"], "depth_cm = 0\n"),
         (["calibrate", "--anchor-ber", "0.45"], None),
         (["ber-sweep"], "sweep_axis = bandwidth_hz\nsweep_values = 4096, -4096\n"),
+        (["ber-sweep"], "sweep_axis = pr_dbm\nsweep_values = -95, 1e300\n"),
     ],
     ids=[
         "overflowed-rate",
@@ -181,6 +182,7 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         "depth-off-the-measured-grid",
         "anchor-ber-outside-the-calibratable-range",
         "bandwidth-point-with-a-negative-clock",
+        "pr-point-whose-power-overflows",
     ],
 )
 def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys, monkeypatch):

@@ -28,7 +28,7 @@ def test_parse_config_comments_and_types():
     )
     assert cfg.sf == 9
     assert cfg.bursts_enabled is True
-    assert cfg.sweep_values == [1.0, 2.5, 3.0]
+    assert cfg.sweep_values == (1.0, 2.5, 3.0)
 
 
 def test_parse_config_unknown_key_rejected():
@@ -118,6 +118,23 @@ def test_validate_builds_the_clock_of_every_bandwidth_point():
     with pytest.raises(ConfigurationError) as err:
         harness.ExperimentConfig(sf=99, sweep_axis="bandwidth_hz", sweep_values=[4096.0, 1e6])
     assert str(err.value) == "invalid config: sf must lie in [5, 12], got 99"
+
+
+def test_validate_converts_every_pr_point_to_watts():
+    # as the sweeps do, so a point whose power overflows fails at parse time
+    want = re.escape("pr_dbm=1e+300: 1e+300 dBm is too large to express in watts")
+    with pytest.raises(ConfigurationError, match=want):
+        harness.parse_config("sweep_axis = pr_dbm\nsweep_values = -95, 1e300\n")
+    with pytest.raises(ConfigurationError, match=re.escape("pr_dbm=-95.0: 1e+300 dBm")):
+        harness.ExperimentConfig(sweep_axis="pr_dbm", sweep_values=[-95.0], composite_gain_db=1e300)
+
+
+def test_sweep_values_is_a_tuple():
+    # a list given to the config is stored as a tuple, so it cannot be changed in place
+    cfg = harness.ExperimentConfig(sweep_values=[22.1, 23.0])
+    assert cfg.sweep_values == (22.1, 23.0)
+    with pytest.raises(TypeError):
+        cfg.sweep_values[0] = -1e9
 
 
 def test_validate_names_the_capacitance_key():
@@ -473,7 +490,8 @@ def test_charge_sweep_reads_values_along_the_sweep_axis():
 
 def test_fit_passive_efficiency_scale_hits_anchor():
     scale = harness.fit_passive_efficiency_scale()
-    assert 0.1 < scale < 1.0
+    # the value perfbench/reference.json pins: every bisection step's charge time is exact
+    assert scale == 0.2828217874326667
     h = powersim.HarvesterModel.default_passive().with_scale(scale)
     leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     c = powersim.Capacitor(22e-6)

@@ -143,6 +143,14 @@ def test_min_startup_power_is_a_threshold():
     assert powersim.time_to_voltage(c, p_min - 0.3, h, leak) == math.inf
 
 
+def test_min_startup_power_is_pinned():
+    # the value perfbench/reference.json pins
+    p_min = powersim.min_startup_incident_power(
+        powersim.LeakageCurve.default_without_startup(), powersim.HarvesterModel.default_active()
+    )
+    assert p_min == 5.4282976271329755
+
+
 def test_min_startup_power_never_when_out_of_reach():
     leak = powersim.LeakageCurve.constant(100.0)  # 100 W leak: hopeless
     h = powersim.HarvesterModel.default_active()
@@ -426,13 +434,15 @@ def test_time_to_voltage_bit_exact_on_charge_sweep_grid(variant, dt_s):
     assert any(math.isfinite(t) for t in got)
 
 
-def _assert_fsm_matches_oracle(cap_f, pr_dbm, harvest_tx, duration_s):
+def _assert_fsm_matches_oracle(
+    cap_f, pr_dbm, harvest_tx, duration_s, leak=_CURVES["with_startup"], v0=0.0
+):
     args = (
         powersim.ActiveNodeFSM(),
-        powersim.Capacitor(cap_f),
+        powersim.Capacitor(cap_f, powersim.Capacitor(cap_f).energy_at(v0)),
         pr_dbm,
         powersim.HarvesterModel.default_active(),
-        powersim.LeakageCurve.default_with_startup(),
+        leak,
         duration_s,
     )
     got = powersim.run_active_fsm(*args, harvest_while_transmitting=harvest_tx)
@@ -479,3 +489,96 @@ def test_run_active_fsm_bit_exact_when_the_run_ends_on_an_edge(harvest_tx):
     pt = powersim.ActiveNodeFSM.PACKET_TIME_S
     got = _assert_fsm_matches_oracle(1e-3, 10.0, harvest_tx, t_wake + 2.5 * pt)
     assert [kind for _, kind, _ in got.events][-4:] == ["wake", "packet", "packet", "sleep"]
+
+
+@pytest.mark.parametrize(
+    "pr_dbm, leak, v0",
+    [
+        (-2.0, _CURVES["with_startup"], 0.0),  # cold charge above 1.8 V spans chunks; long sleeps
+        (8.0, _CURVES["with_startup"], 0.0),  # short sleeps, many phases
+        (0.0, _CURVES["one_point"], 0.0),  # one knot, flat everywhere: all charge steps coast
+        # last knot above V_START: no charge or sleep step is ever flat
+        (0.0, powersim.LeakageCurve(((0.0, 5e-8), (0.6, 1e-6), (3.5, 6.1e-5))), 0.0),
+        # harvest (~0.5 mW) below the flat 1 mW leakage: no step gains, the node drains to 0
+        (0.0, powersim.LeakageCurve.constant(1e-3), 3.0),
+    ],
+    ids=["-2dBm", "8dBm", "one-knot", "knot-above-v-start", "harvest-below-leakage"],
+)
+@pytest.mark.parametrize("harvest_tx", [True, False])
+def test_run_active_fsm_bit_exact_where_the_leakage_is_flat(pr_dbm, leak, v0, harvest_tx):
+    _assert_fsm_matches_oracle(1e-3, pr_dbm, harvest_tx, 30.0, leak, v0)
+
+
+# ------------------------------------------------ constant-power stretches
+
+def _scalar_coast(e, t, p_in, p_out, dt, cap, v_stop, t_stop, harvested=0.0, consumed=0.0):
+    """powersim._coast's contract as a plain euler_step loop."""
+    while t < t_stop:
+        e1, got, used = powersim.euler_step(e, p_in, p_out, dt)
+        if not (e1 > e and math.sqrt(2.0 * e1 / cap) < v_stop):
+            break
+        e, t, harvested, consumed = e1, t + dt, harvested + got, consumed + used
+    return e, math.sqrt(2.0 * e / cap), t, harvested, consumed
+
+
+def _assert_coast_matches_scalar(*args):
+    """Compare bit for bit and return the end time, which counts the steps taken."""
+    got, want = powersim._coast(*args), _scalar_coast(*args)
+    assert _bits(got) == _bits(want)
+    return got[2]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@given(
+    cap=_log_uniform(-6.0, 0.0),
+    v_stop=st.floats(0.0, 10.0),
+    v0_frac=st.floats(0.0, 1.0),
+    p_in=_log_uniform(-7.0, -1.0),
+    loss_ratio=st.floats(0.0, 1.2),
+    dt=st.floats(1e-5, 1e-3),
+    t0=st.floats(0.0, 100.0),
+    n_max=st.integers(0, 9000),
+    harvested=st.floats(0.0, 1.0),
+    consumed=st.floats(0.0, 1.0),
+)
+def test_coast_equals_the_scalar_loop(
+    cap, v_stop, v0_frac, p_in, loss_ratio, dt, t0, n_max, harvested, consumed
+):
+    # stops on the voltage, the time or a step that gains nothing, whichever comes first
+    e0 = 0.5 * cap * (v0_frac * v_stop) ** 2
+    _assert_coast_matches_scalar(
+        e0, t0, p_in, loss_ratio * p_in, dt, cap, v_stop, t0 + n_max * dt, harvested, consumed
+    )
+
+
+_ULP_BELOW_ONE = 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "e0, p_in, p_out, dt, cap, v_stop, want_steps",
+    [
+        (1e-3, 1e-3, 2e-3, 1e-3, 1.0, 10.0, 0),  # loses energy
+        (1e-3, 1e-3, 1e-3, 1e-3, 1.0, 10.0, 0),  # breaks even
+        (1e-3, 0.0, 0.0, 1e-3, 1.0, 10.0, 0),  # no power at all
+        # each step adds one ulp below 1.0; from 1.0 on the increment rounds away
+        (1.0 - 50 * _ULP_BELOW_ONE, 0.6 * _ULP_BELOW_ONE * 2**10, 0.0, 2.0**-10, 1.0, 10.0, 50),
+        # e = k and v = sqrt(k) after k steps: the ninth ends exactly on v_stop, a crossing
+        (0.0, 1.0, 0.0, 1.0, 2.0, 3.0, 8),
+    ],
+    ids=["loses", "breaks-even", "no-power", "increment-rounds-away", "ends-on-v-stop"],
+)
+def test_coast_stops_before_each_event(e0, p_in, p_out, dt, cap, v_stop, want_steps):
+    # dt is a power of two or no step is taken, so the end time is exactly want_steps * dt
+    args = (e0, 0.0, p_in, p_out, dt, cap, v_stop, 9000 * dt)
+    assert _assert_coast_matches_scalar(*args) == want_steps * dt
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, powersim._COAST_STEPS])
+def test_coast_stops_exactly_on_the_step_budget(extra):
+    # dt is a power of two, so exactly n steps start before t_stop = n * dt
+    n = powersim._COAST_STEPS + extra
+    dt = 2.0**-10
+    assert _assert_coast_matches_scalar(1e-3, 0.0, 1e-3, 1e-4, dt, 1e-3, 1e3, n * dt) == n * dt
