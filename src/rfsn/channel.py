@@ -160,34 +160,31 @@ def burst_template(n_samples: int) -> np.ndarray:
     return out
 
 
-def _burst_windows(arrivals_s: np.ndarray, fs_hz: float) -> tuple[np.ndarray, int]:
-    """First sample index round(t*fs) of each burst on the global grid, and
-    the burst length in samples."""
-    first = np.round(np.asarray(arrivals_s, dtype=np.float64) * fs_hz).astype(np.int64)
-    return first, max(1, int(round(WBurstModel.DURATION_S * fs_hz)))
+def _burst_rows(arrivals_s: np.ndarray, m: int, fs_hz: float, rms: float, k0: int, k1: int):
+    """The bursts on the symbols k0 <= k < k1 of a stream of m-sample symbols.
 
-
-def add_w_bursts(
-    x: np.ndarray, arrivals_s: np.ndarray, t_start_s: float, fs_hz: float, rms: float
-) -> None:
-    """Add the bursts in place to the 1-D sample block x starting at t_start_s.
-
-    ``arrivals_s`` are sorted burst arrival times, as drawn by
-    ``WBurstModel.arrival_times`` over the whole stream.  Each burst is placed
-    on the global sample grid, so a burst that starts before the block adds
-    its tail, one running past the block's end is cut off there, and blocks
-    laid end to end receive every burst exactly once.  Burst amplitude is
-    ``WBurstModel.AMPLITUDE_SCALE * rms``.
+    arrivals_s are sorted arrival times drawn by WBurstModel.arrival_times over
+    the whole stream.  A burst arriving at t adds AMPLITUDE_SCALE * rms times
+    burst_template to the round(DURATION_S*fs) samples from sample round(t*fs).
+    Returns the sorted symbols ks in [k0, k1) a burst touches and their
+    (len(ks), m) samples, bursts added in arrival order, so ranges laid end to
+    end receive every burst exactly once.
     """
-    b0 = int(round(t_start_s * fs_hz))
-    pad = WBurstModel.DURATION_S + 2.0 / fs_hz  # covers the rounding of both ends
-    lo, hi = np.searchsorted(arrivals_s, [t_start_s - pad, t_start_s + len(x) / fs_hz + pad])
-    first, n_burst = _burst_windows(arrivals_s[lo:hi], fs_hz)
+    n_burst = max(1, int(round(WBurstModel.DURATION_S * fs_hz)))
+    first = np.round(np.asarray(arrivals_s, dtype=np.float64) * fs_hz).astype(np.int64)
+    first = first[(first + n_burst > k0 * m) & (first < k1 * m)]
+    a = np.maximum(first, k0 * m)  # each burst's first and one-past-last sample in range
+    b = np.minimum(first + n_burst, k1 * m)
+    ka, kb = a // m, (b - 1) // m
+    ks = ka[:, None] + np.arange(int(np.max(kb - ka, initial=0)) + 1)
+    ks = k0 + np.flatnonzero(np.bincount(ks[ks <= kb[:, None]] - k0))
+    # a burst's symbols are consecutive in ks, so its samples are one flat slice
+    rows = np.zeros((len(ks), m))
+    starts = np.searchsorted(ks, ka) * m + a % m
     template = WBurstModel.AMPLITUDE_SCALE * rms * burst_template(n_burst)
-    for i in first - b0:
-        a, b = max(i, 0), min(i + n_burst, len(x))
-        if a < b:
-            x[a:b] += template[a - i : b - i]
+    for s, u, v in zip(starts.tolist(), (a - first).tolist(), (b - first).tolist()):
+        rows.reshape(-1)[s : s + v - u] += template[u:v]
+    return ks, rows
 
 
 def interference_symbol_error_rate(ds_s: float) -> float:

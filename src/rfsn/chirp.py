@@ -71,6 +71,8 @@ class ChirpParams:
     @property
     def samples_per_symbol(self) -> int:
         n = self.ds_s * self.fs_hz
+        if not n <= np.iinfo(np.int64).max:  # exact int/float comparison; inf fails it
+            raise ConfigurationError(f"fs={self.fs_hz}: {n:.3g} samples per symbol overflow int64")
         m = round(n)
         if abs(n - m) > 1e-6:
             raise ConfigurationError(

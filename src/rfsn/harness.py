@@ -110,7 +110,10 @@ class ExperimentConfig:
             if resolved:
                 key = f"{self.sweep_axis}={v}"
                 check(lambda: _engine_params(self, resolved[0]), key)
-                check(lambda: channel.dbm_to_w(resolved[1] + self.composite_gain_db), key)
+                try:
+                    channel.dbm_to_w(resolved[1] + self.composite_gain_db)
+                except ConfigurationError as exc:
+                    problems.append(f"{key}: {exc} with composite_gain_db={self.composite_gain_db}")
         check(lambda: charge_models(self), f"efficiency_scale={self.efficiency_scale}")
         if self.n0_w_per_hz <= 0:
             problems.append(f"n0_w_per_hz={self.n0_w_per_hz} must be positive")
@@ -301,26 +304,6 @@ class BerEngine:
         z *= math.sqrt(var)
         return (z @ self._real_noise_factor).view(np.complex128)
 
-    def _burst_symbols(self, arrivals_s: np.ndarray, n_symbols: int) -> np.ndarray:
-        """Sorted indices of the symbols below n_symbols that a burst touches."""
-        m = self.p.samples_per_symbol
-        first, n_burst = channel._burst_windows(arrivals_s, self.p.fs_hz)
-        k0, k1 = first // m, (first + n_burst - 1) // m
-        ks = k0[:, None] + np.arange(int(np.max(k1 - k0, initial=0)) + 1)
-        ks = np.unique(ks[ks <= k1[:, None]])
-        return ks[ks < n_symbols]
-
-    def _burst_bins(self, arrivals_s: np.ndarray, amp: float, ks: np.ndarray) -> np.ndarray:
-        """Decision bins of the mean-removed bursts alone on the sorted symbols ks."""
-        p = self.p
-        m = p.samples_per_symbol
-        rows = np.zeros((len(ks), m))
-        # each run of consecutive symbols is one contiguous block of the stream
-        for run in np.split(np.arange(len(ks)), np.flatnonzero(np.diff(ks) > 1) + 1):
-            block = rows[run[0] : run[-1] + 1].reshape(-1)
-            channel.add_w_bursts(block, arrivals_s, ks[run[0]] * m / p.fs_hz, p.fs_hz, amp)
-        return rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
-
     def detection_fraction(self) -> float:
         """Mean dechirp-bin power capture of the scaled templates."""
         m = self.p.samples_per_symbol
@@ -348,11 +331,10 @@ class BerEngine:
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
         n_chunks = -(-n_symbols // ENGINE_BATCH)
         streams = np.random.SeedSequence(seed).spawn(n_chunks + 1)
-        hit = np.empty(0, dtype=np.int64)
+        arrivals = np.empty(0)
         if bursts:
             span_s = n_symbols * p.samples_per_symbol / p.fs_hz
             arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(streams[-1]))
-            hit = self._burst_symbols(arrivals, n_symbols)
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
         block = max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins))  # 2n float64 normals a row
@@ -367,9 +349,8 @@ class BerEngine:
                 b1 = min(b0 + block, stop)
                 stats = self._bin_noise(rng.standard_normal((b1 - b0, 2 * p.n_bins)), var)
                 stats += table[sent[b0:b1]]
-                ks = hit[(hit >= b0) & (hit < b1)]
-                if len(ks):
-                    stats[ks - b0] += self._burst_bins(arrivals, amp, ks)
+                ks, rows = channel._burst_rows(arrivals, p.samples_per_symbol, p.fs_hz, amp, b0, b1)
+                stats[ks - b0] += rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
                 detected[b0:b1] = np.argmax(np.abs(stats), axis=1)
         return rxdsp.score(sent, detected, p.sf)
 

@@ -116,36 +116,36 @@ def test_arrival_times_poisson_rate():
 
 
 def test_inject_w_bursts_touches_only_logged_windows():
-    fs = 32768.0
-    x = np.zeros(32768 * 4)
-    arrivals = channel.WBurstModel.arrival_times(len(x) / fs, np.random.default_rng(3))
-    channel.add_w_bursts(x, arrivals, 0.0, fs, 1.0)
+    fs, m, n = 32768.0, 1024, 128
+    arrivals = channel.WBurstModel.arrival_times(n * m / fs, np.random.default_rng(3))
+    ks, rows = channel._burst_rows(arrivals, m, fs, 1.0, 0, n)
     assert len(arrivals) > 0
-    mask = np.zeros(len(x), dtype=bool)
+    x = np.zeros((n, m))
+    x[ks] = rows
+    mask = np.zeros(n * m, dtype=bool)
     for t0 in arrivals:
         i = int(round(t0 * fs))
-        j = min(len(x), i + int(round(channel.WBurstModel.DURATION_S * fs)) + 1)
-        mask[i:j] = True
-    changed = x != 0.0
+        mask[i : i + int(round(channel.WBurstModel.DURATION_S * fs))] = True
+    changed = x.reshape(-1) != 0.0
     assert np.all(~changed | mask)
     assert changed.any()
+    assert np.array_equal(ks, np.flatnonzero(mask.reshape(n, m).any(axis=1)))
 
 
-def test_add_w_bursts_blocks_end_to_end_equal_one_stream():
-    # a burst spilling over a block edge lands in both blocks, and one
-    # running past the last block is cut off there
-    fs = 32768.0
+def test_burst_rows_ranges_end_to_end_equal_one_call():
+    # a burst spilling over a symbol edge lands in both ranges, and one
+    # running past the last symbol is cut off there
+    fs, m = 32768.0, 1000
     n_burst = int(round(channel.WBurstModel.DURATION_S * fs))
     arrivals = np.array([(1000 - 10) / fs, (3000 - 7) / fs])
-    whole = np.zeros(3000)
-    channel.add_w_bursts(whole, arrivals, 0.0, fs, 2.0)
-    parts = np.zeros(3000)
-    for b0 in range(0, 3000, 1000):
-        channel.add_w_bursts(parts[b0 : b0 + 1000], arrivals, b0 / fs, fs, 2.0)
+    ks, whole = channel._burst_rows(arrivals, m, fs, 2.0, 0, 3)
+    parts = [channel._burst_rows(arrivals, m, fs, 2.0, k, k + 1) for k in range(3)]
     tpl = 2.0 * channel.WBurstModel.AMPLITUDE_SCALE * channel.burst_template(n_burst)
-    assert np.array_equal(parts, whole)
-    assert np.array_equal(whole[990 : 990 + n_burst], tpl)
-    assert np.array_equal(whole[-7:], tpl[:7])
+    assert list(ks) == [0, 1, 2]
+    assert [list(k) for k, _ in parts] == [[0], [1], [2]]
+    assert np.array_equal(np.concatenate([rows for _, rows in parts]), whole)
+    assert np.array_equal(whole.reshape(-1)[990 : 990 + n_burst], tpl)
+    assert np.array_equal(whole.reshape(-1)[-7:], tpl[:7])
 
 
 def test_interference_rate_closed_form():

@@ -173,6 +173,11 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         (["calibrate", "--anchor-ber", "0.45"], None),
         (["ber-sweep"], "sweep_axis = bandwidth_hz\nsweep_values = 4096, -4096\n"),
         (["ber-sweep"], "sweep_axis = pr_dbm\nsweep_values = -95, 1e300\n"),
+        # samples per symbol beyond int64, never a count that could be allocated
+        (["params", "--fs", "1e300"], None),
+        (["params", "--fosc", "1", "--fs", "1e308"], None),  # the count overflows to inf
+        (["modulate", "--symbols", "1", "--fs", "1e300", "--out", "w.bin"], None),
+        (["demodulate", "--fs", "1e300", "--in", "w.csv"], None),
     ],
     ids=[
         "overflowed-rate",
@@ -183,12 +188,18 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
         "anchor-ber-outside-the-calibratable-range",
         "bandwidth-point-with-a-negative-clock",
         "pr-point-whose-power-overflows",
+        "params-samples-per-symbol-beyond-int64",
+        "params-samples-per-symbol-overflowing-to-inf",
+        "modulate-samples-per-symbol-beyond-int64",
+        "demodulate-samples-per-symbol-beyond-int64",
     ],
 )
 def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the engine ran on an invalid config")
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.csv").write_text("sample_index,value\n0,0.0\n")
     # every bad value is refused when the config is built, before any work
     monkeypatch.setattr(harness.BerEngine, "run", refuse)
     if cfg_text is not None:

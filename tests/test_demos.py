@@ -1,4 +1,5 @@
-"""The demos run clean, and demo 03 prints the energy walkthrough unchanged."""
+"""The demos run clean, demo 03 prints the energy walkthrough unchanged and
+demo 04 its seeded burst table."""
 
 import os
 import re
@@ -27,6 +28,16 @@ passive node at -6 dBm, 32.768 kHz clock, 1.8 V:
   sustainable: True
 """
 
+# demos/04_bandwidth_vs_bursts.py stdout up to the table's last row
+DEMO_04_TABLE = """\
+burst model: 3 ms every 0.5 s, amplitude x150
+
+ bw_kHz   ds_ms closed_form_es   sim_ser   sim_ber
+    4.1   31.25         0.0625    0.0613    0.0312
+  125.0    1.02         0.0061    0.0080    0.0040
+  250.0    0.51         0.0061    0.0070    0.0035
+"""
+
 
 def _run_demo(path: Path) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
@@ -44,3 +55,5 @@ def test_demo_runs_clean(path):
     if path.name == "03_energy_budget.py":
         out = re.sub(r"(energy ledger residual: )\S+", r"\1<residual>", res.stdout)
         assert out == DEMO_03_STDOUT
+    if path.name == "04_bandwidth_vs_bursts.py":
+        assert res.stdout.startswith(DEMO_04_TABLE)

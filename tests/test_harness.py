@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from burst_oracle import add_w_bursts
 from rfsn import channel, chirp, cli, harness, powersim, rxdsp
 from rfsn.errors import ConfigurationError
 
@@ -125,8 +126,9 @@ def test_validate_converts_every_pr_point_to_watts():
     want = re.escape("pr_dbm=1e+300: 1e+300 dBm is too large to express in watts")
     with pytest.raises(ConfigurationError, match=want):
         harness.parse_config("sweep_axis = pr_dbm\nsweep_values = -95, 1e300\n")
-    with pytest.raises(ConfigurationError, match=re.escape("pr_dbm=-95.0: 1e+300 dBm")):
+    with pytest.raises(ConfigurationError, match=re.escape("pr_dbm=-95.0: 1e+300 dBm")) as exc:
         harness.ExperimentConfig(sweep_axis="pr_dbm", sweep_values=[-95.0], composite_gain_db=1e300)
+    assert "with composite_gain_db=1e+300" in str(exc.value)  # the key that is wrong
 
 
 def test_sweep_values_is_a_tuple():
@@ -260,9 +262,16 @@ def _burst_stream_bins(eng, arrivals, amp, n_symbols):
     p = eng.p
     m = p.samples_per_symbol
     x = np.zeros(n_symbols * m)
-    channel.add_w_bursts(x, arrivals, 0.0, p.fs_hz, amp)
+    add_w_bursts(x, arrivals, 0.0, p.fs_hz, amp)
     rows = x.reshape(n_symbols, m)
     return rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
+
+
+def _engine_burst_bins(eng, arrivals, amp, k0, k1):
+    """The touched symbols of [k0, k1) and their burst bins, as BerEngine.run adds them."""
+    p = eng.p
+    ks, rows = channel._burst_rows(arrivals, p.samples_per_symbol, p.fs_hz, amp, k0, k1)
+    return ks, rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
 
 
 def test_engine_burst_bins_match_the_time_domain_stream():
@@ -273,9 +282,9 @@ def test_engine_burst_bins_match_the_time_domain_stream():
     # and overlapping bursts occur
     arrivals = np.sort(np.random.default_rng(5).uniform(0.0, n_symbols * p.ds_s, 25))
     want = _burst_stream_bins(eng, arrivals, 0.3, n_symbols)
-    ks = eng._burst_symbols(arrivals, n_symbols)
+    ks, bins = _engine_burst_bins(eng, arrivals, 0.3, 0, n_symbols)
     got = np.zeros_like(want)
-    got[ks] = eng._burst_bins(arrivals, 0.3, ks)
+    got[ks] = bins
     assert 0 < len(ks) < n_symbols
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -286,29 +295,27 @@ def test_engine_burst_crossing_a_chunk_edge_reaches_the_next_chunk():
     eng = harness.BerEngine(p, "complex")
     edge = harness.ENGINE_BATCH  # first symbol of chunk 1
     arrivals = np.array([(edge * m - 10) / p.fs_hz])  # 10 samples before the edge
-    ks = eng._burst_symbols(arrivals, edge + 1)
-    assert list(ks) == [edge - 1, edge]
-    bins = eng._burst_bins(arrivals, 1.0, ks)
+    head_ks, head = _engine_burst_bins(eng, arrivals, 1.0, 0, edge)
+    tail_ks, tail = _engine_burst_bins(eng, arrivals, 1.0, edge, edge + 1)
+    assert (list(head_ks), list(tail_ks)) == ([edge - 1], [edge])
     want = _burst_stream_bins(eng, arrivals, 1.0, edge + 1)[edge - 1 :]
-    assert np.max(np.abs(bins[1])) > 1.0  # the tail changes chunk 1's first symbol
+    bins = np.concatenate([head, tail])
+    assert np.max(np.abs(tail)) > 1.0  # the tail changes chunk 1's first symbol
     assert np.max(np.abs(bins - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_engine_burst_past_the_last_symbol_is_cut_off():
     p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
     m = p.samples_per_symbol
-    eng = harness.BerEngine(p, "complex")
     bursts = channel.WBurstModel
     n_symbols = 3
     arrivals = np.array([(n_symbols * m - 4) / p.fs_hz])  # 4 samples before the end
-    ks = eng._burst_symbols(arrivals, n_symbols)
+    ks, rows = channel._burst_rows(arrivals, m, p.fs_hz, 1.0, 0, n_symbols)
     assert list(ks) == [n_symbols - 1]
     last = np.zeros(m)
     n_burst = int(round(bursts.DURATION_S * p.fs_hz))
     last[-4:] = bursts.AMPLITUDE_SCALE * channel.burst_template(n_burst)[:4]
-    want = rxdsp.dechirp_bins(last - last.mean(), p)
-    got = eng._burst_bins(arrivals, 1.0, ks)[0]
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    assert np.array_equal(rows, last[None, :])
 
 
 def test_split_normal_draws_equal_one_draw():
@@ -359,7 +366,7 @@ def _time_domain_ser(eng, ps_w, n0, n_symbols, seed, bursts):
         x = amp * eng.templates[tx]
         if bursts:
             b = np.zeros(nb * m)
-            channel.add_w_bursts(b, arrivals, start * m / p.fs_hz, p.fs_hz, amp)
+            add_w_bursts(b, arrivals, start * m / p.fs_hz, p.fs_hz, amp)
             x = x + b.reshape(nb, m)
         y = noise.add(x, p.fs_hz, rng)
         y = y - y.mean(axis=1, keepdims=True)

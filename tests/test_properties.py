@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burst_oracle import add_w_bursts
 from rfsn import channel, chirp, cli, harness, powersim, rxdsp
 from rfsn.errors import ConfigurationError, RfsnError
 from rfsn.waveform import KIND_ANALOG, KIND_BINARY, Waveform
@@ -153,6 +154,36 @@ def test_burst_template_bounded_and_w_shaped(n):
     assert tpl[0] == 1.0 and tpl[-1] == 1.0
 
 
+@given(
+    m=st.integers(8, 256),
+    n=st.integers(1, 30),
+    rms=st.floats(0.01, 10.0),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_burst_rows_split_anywhere_equal_one_call_and_the_stream(m, n, rms, data):
+    # dense arrivals (up to ~1 per 12 samples, a burst lasts 98), so bursts
+    # overlap, span several symbols and cross every kind of range edge
+    fs = 32768.0
+    arrivals = np.sort(
+        data.draw(st.lists(st.floats(0.0, n * m / fs), max_size=max(1, n * m // 12)), "arrivals")
+    )
+    cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()), "cuts")
+    edges = [0, *sorted(cuts), n]
+    ks, rows = channel._burst_rows(arrivals, m, fs, rms, 0, n)
+    parts = [channel._burst_rows(arrivals, m, fs, rms, a, b) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate([k for k, _ in parts]), ks)
+    assert np.array_equal(np.concatenate([r for _, r in parts]), rows)
+    stream = np.zeros(n * m)
+    add_w_bursts(stream, arrivals, 0.0, fs, rms)
+    want = np.zeros((n, m))
+    want[ks] = rows
+    assert np.array_equal(want, stream.reshape(n, m))
+    n_burst = round(channel.WBurstModel.DURATION_S * fs)
+    touched = {j // m for t in arrivals for j in range(round(t * fs), round(t * fs) + n_burst)}
+    assert list(ks) == sorted(k for k in touched if k < n)
+
+
 # Config and flag values: numbers in and out of range, non-finite and
 # overflowing spellings, booleans, lists and junk.
 _values = st.one_of(
@@ -203,6 +234,7 @@ _cli_argv = st.one_of(
 
 @given(_cli_argv, st.one_of(st.none(), _config_texts))
 @example(["params", "--sf", "7", "--fosc", "1e308"], None)
+@example(["params", "--fosc", "1", "--fs", "1e308"], None)
 @example(["theory", "--seed", "-1"], None)
 @example(["theory"], "n_symbols_calibration = -5\n")
 @settings(max_examples=150, deadline=None)
