@@ -246,21 +246,20 @@ def _render_from_toggles(
     return np.repeat(levels.astype(np.float64), runs)
 
 
-def modulate_ideal(symbols, p: ChirpParams) -> Waveform:
-    """Binary-envelope square chirps with exact (unquantized) toggle instants.
+def _ideal_toggles(symbols, p: ChirpParams) -> tuple[np.ndarray, int]:
+    """(exact toggle instants, sample count) of the envelope of a symbol sequence.
 
     Phase accumulates across symbols (a GPIO loop cannot reset phase), so a
     repeated symbol continues where the previous one left off.  Each symbol's
     start phase is the previous one's end phase mod 2*pi, chained in a scalar
-    loop; the toggle instants of every symbol are then solved in one batch and
-    rendered run by run, so the cost grows with the toggles, not the samples.
+    loop; the toggle instants of every symbol are then solved in one batch.
     """
     symbols = [int(s) for s in symbols]
     if not symbols:
         raise ConfigurationError("symbol sequence must be non-empty")
     for s in symbols:
         _check_symbol(s, p)
-    m = p.samples_per_symbol
+    n_samples = p.samples_per_symbol * len(symbols)
     symbols = np.array(symbols)
     ramp, wrap = _phase_terms(symbols, p, p.ds_s)
     phi0 = [0.0]
@@ -268,9 +267,17 @@ def modulate_ideal(symbols, p: ChirpParams) -> Waveform:
         phi0.append((phi0[-1] + r - w) % (2 * np.pi))
     rel, counts = _toggle_instants(symbols, np.array(phi0), p)
     starts = np.repeat(np.arange(len(symbols)) * p.ds_s, counts)
-    instants = _drop_coincident_pairs(starts + rel, p.bw_hz)
-    initial = 1  # phi(0) = 0 -> frac 0 < 1/2
-    samples = _render_from_toggles(instants, initial, m * len(symbols), p.fs_hz)
+    return _drop_coincident_pairs(starts + rel, p.bw_hz), n_samples
+
+
+def modulate_ideal(symbols, p: ChirpParams) -> Waveform:
+    """Binary-envelope square chirps with exact (unquantized) toggle instants.
+
+    The envelope starts high (phi(0) = 0 -> frac 0 < 1/2) and is rendered run
+    by run from its toggles, so the cost grows with the toggles, not the samples.
+    """
+    instants, n_samples = _ideal_toggles(symbols, p)
+    samples = _render_from_toggles(instants, 1, n_samples, p.fs_hz)
     return Waveform(samples, p.fs_hz, KIND_BINARY, toggle_instants=instants)
 
 
@@ -305,19 +312,29 @@ def quantize_toggles(w: Waveform, fosc_hz: float) -> Waveform:
     if w.toggle_instants is None:
         raise ConfigurationError("quantize_toggles needs the toggle instants of modulate_ideal")
     instants = np.asarray(w.toggle_instants, dtype=np.float64)
-    snapped = _snap_to_grid(instants, CYCLES_PER_TOGGLE / fosc_hz)
     initial = int(w.samples[0]) if len(w.samples) else 1
-    samples = _render_from_toggles(snapped, initial, len(w.samples), w.fs_hz)
-    return Waveform(samples, w.fs_hz, KIND_BINARY, toggle_instants=snapped)
+    return _snapped_envelope(instants, initial, len(w.samples), w.fs_hz, fosc_hz)
+
+
+def _snapped_envelope(instants, initial: int, n_samples: int, fs_hz: float, fosc_hz: float) -> Waveform:
+    """The binary envelope of sorted ideal toggle instants snapped to the 4/fosc grid."""
+    snapped = _snap_to_grid(instants, CYCLES_PER_TOGGLE / fosc_hz)
+    samples = _render_from_toggles(snapped, initial, n_samples, fs_hz)
+    return Waveform(samples, fs_hz, KIND_BINARY, toggle_instants=snapped)
 
 
 def modulate_quantized(symbols, p: ChirpParams) -> Waveform:
-    """Convenience: modulate_ideal followed by quantize_toggles at p.fosc_hz."""
+    """quantize_toggles(modulate_ideal(symbols, p), p.fosc_hz), rendered once.
+
+    The ideal envelope starts high (its first toggle lies after t = 0), so only
+    its toggle instants are solved, then snapped and rendered.
+    """
     if p.fs_hz < p.fosc_hz * (1 - 1e-12):
         raise ConfigurationError(
             f"quantized synthesis needs fs >= fosc ({p.fs_hz} < {p.fosc_hz})"
         )
-    return quantize_toggles(modulate_ideal(symbols, p), p.fosc_hz)
+    instants, n_samples = _ideal_toggles(symbols, p)
+    return _snapped_envelope(instants, 1, n_samples, p.fs_hz, p.fosc_hz)
 
 
 @dataclass

@@ -235,9 +235,12 @@ class BerEngine:
                 tpl[s] = np.cos(chirp.symbol_phase(s, p, t))
         else:
             tpl = chirp._symbol_envelopes(p, quantized=kind == "square-quantized")
-        tpl = tpl - tpl.mean(axis=1, keepdims=True)
-        rms = np.sqrt(np.mean(np.abs(tpl) ** 2, axis=1, keepdims=True))
-        self.templates = tpl / rms
+        # in place: the same arithmetic as tpl - mean, abs(tpl) ** 2 and tpl / rms
+        tpl -= tpl.mean(axis=1, keepdims=True)
+        power = np.abs(tpl)
+        power *= power
+        tpl /= np.sqrt(power.mean(axis=1, keepdims=True))
+        self.templates = tpl
 
     @cached_property
     def template_bins(self) -> np.ndarray:
@@ -349,8 +352,9 @@ class BerEngine:
                 b1 = min(b0 + block, stop)
                 stats = self._bin_noise(rng.standard_normal((b1 - b0, 2 * p.n_bins)), var)
                 stats += table[sent[b0:b1]]
-                ks, rows = channel._burst_rows(arrivals, p.samples_per_symbol, p.fs_hz, amp, b0, b1)
-                stats[ks - b0] += rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
+                if arrivals.size:
+                    ks, rows = channel._burst_rows(arrivals, p.samples_per_symbol, p.fs_hz, amp, b0, b1)
+                    stats[ks - b0] += rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
                 detected[b0:b1] = np.argmax(np.abs(stats), axis=1)
         return rxdsp.score(sent, detected, p.sf)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +71,20 @@ class Waveform:
     # -- CSV ----------------------------------------------------------------
 
     def to_csv(self, path_or_file) -> None:
+        """Rows `i,repr(samples[i])`; repr runs once per distinct float64 bit pattern."""
         if np.iscomplexobj(self.samples):
             raise ConfigurationError("complex waveforms are not CSV-serializable")
         own = isinstance(path_or_file, (str, bytes, os.PathLike))
         f = open(path_or_file, "w") if own else path_or_file
         try:
-            values = np.asarray(self.samples, dtype=np.float64).tolist()
-            rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
-            f.write("sample_index,value\n" + rows)
+            # bit patterns, not values, so -0.0 and 0.0 (and NaN payloads) stay apart
+            bits = np.asarray(self.samples, dtype=np.float64).view(np.int64)
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            cells = [f",{v!r}\n" for v in distinct.view(np.float64).tolist()]
+            parts = [""] * (2 * len(bits))
+            parts[0::2] = map(str, range(len(bits)))
+            parts[1::2] = map(cells.__getitem__, inverse.tolist())
+            f.write("sample_index,value\n" + "".join(parts))
         finally:
             if own:
                 f.close()
@@ -91,27 +98,16 @@ class Waveform:
             header = f.readline().strip()
             if header != "sample_index,value":
                 raise ConfigurationError(f"unexpected CSV header {header!r}")
-            values = []
-            for lineno, line in enumerate(f, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    idx, val = line.split(",")
-                    idx, val = int(idx), float(val)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"CSV line {lineno}: expected `sample_index,value`, got {line!r}"
-                    ) from None
-                if idx != len(values):
-                    raise ConfigurationError(
-                        f"CSV line {lineno}: sample indices must be contiguous from 0"
-                    )
-                values.append(val)
+            lines = f.readlines()
         finally:
             if own:
                 f.close()
-        return cls(np.asarray(values, dtype=np.float64), fs_hz, kind)
+        while lines and not lines[-1].strip():
+            lines.pop()
+        values = _parse_csv_rows(lines)
+        if values is None:
+            values = _scan_csv_rows(lines)
+        return cls(values, fs_hz, kind)
 
     # -- binary -------------------------------------------------------------
 
@@ -148,3 +144,56 @@ class Waveform:
     def load(cls, path: str) -> "Waveform":
         with open(path, "rb") as f:
             return cls.from_bytes(f.read())
+
+
+_CSV_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
+
+
+def _parse_csv_rows(lines: list) -> np.ndarray | None:
+    """The values of CSV body lines parsed in one numpy call, or None where that
+    parse might differ from _scan_csv_rows.
+
+    On ASCII text numpy converts the cells with Python's own string-to-double
+    and accepts a subset of what int() and float() do (no underscores).  A
+    line it skips or splits otherwise than the row scan changes the row
+    count.  Any doubt falls back to the row scan.
+    """
+    if not lines:
+        return np.empty(0)
+    body = "".join(lines)
+    # numpy 2.4 reads some non-ASCII index cells as integers (reading out of
+    # bounds), and strips \x1c-\x1f from a cell where int() and float() do not
+    if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    with warnings.catch_warnings(record=True) as caught:
+        # numpy < 2 reads an index cell like "1.5" as 1 with a DeprecationWarning
+        warnings.simplefilter("always")
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_CSV_ROW, ndmin=1)
+        except ValueError:
+            return None
+    if caught or len(rows) != len(lines) or not np.array_equal(rows["index"], np.arange(len(rows))):
+        return None
+    return np.ascontiguousarray(rows["value"])
+
+
+def _scan_csv_rows(lines: list) -> np.ndarray:
+    """The values of CSV body lines, row by row; raises naming the first bad line."""
+    values = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            idx, val = line.split(",")
+            idx, val = int(idx), float(val)
+        except ValueError:
+            raise ConfigurationError(
+                f"CSV line {lineno}: expected `sample_index,value`, got {line!r}"
+            ) from None
+        if idx != len(values):
+            raise ConfigurationError(
+                f"CSV line {lineno}: sample indices must be contiguous from 0"
+            )
+        values.append(val)
+    return np.asarray(values, dtype=np.float64)

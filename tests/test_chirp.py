@@ -143,6 +143,28 @@ def test_modulate_quantized_accepts_every_transition_into_zero(sf):
         chirp.modulate_quantized([a, 0], p)
 
 
+def _two_step_quantized(symbols, p):
+    return chirp.quantize_toggles(chirp.modulate_ideal(symbols, p), p.fosc_hz)
+
+
+def _assert_same_waveform(got, want):
+    assert got.kind == want.kind and got.fs_hz == want.fs_hz
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.toggle_instants.tobytes() == want.toggle_instants.tobytes()
+
+
+@pytest.mark.parametrize("sf", range(5, 11))
+def test_modulate_quantized_equals_quantize_toggles_of_modulate_ideal(sf):
+    # the ascending 32-symbol waveforms of the synthesis benchmark, then random symbols
+    p = chirp.derive_params(sf, 32768.0, fs_hz=32768.0)
+    cases = [np.arange(i, min(i + 32, p.n_bins)) for i in range(0, p.n_bins, 32)]
+    cases += list(np.random.default_rng(sf).integers(0, p.n_bins, (4, 16)))
+    if sf == 6:
+        cases += [[a, 0] for a in range(p.n_bins)]
+    for symbols in cases:
+        _assert_same_waveform(chirp.modulate_quantized(symbols, p), _two_step_quantized(symbols, p))
+
+
 def test_quantize_with_too_slow_clock_is_infeasible():
     p = chirp.derive_params(7, 32768, fs_hz=32768)
     w = chirp.modulate_ideal([64], p)

@@ -1,6 +1,7 @@
 """Experiment config, Monte-Carlo engine, sweeps, and calibration."""
 
 import dataclasses
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -183,6 +184,33 @@ def _params():
 def test_engine_detection_fraction_by_template(kind, lo, hi):
     eng = harness.BerEngine(_params(), kind)
     assert lo < eng.detection_fraction() < hi
+
+
+# SHA-256 of BerEngine(p, kind).templates.tobytes() at sf 5/7/9, fs = fosc =
+# 32768 Hz, as built by the out-of-place mean removal and scaling
+# (tpl - mean, abs(tpl) ** 2, tpl / rms) before they moved in place; taken
+# with numpy 2.4 on x86-64, whose cos and exp the cosine and complex rows use.
+_TEMPLATE_DIGESTS = {
+    (5, "square-quantized"): "51937d2d840d38c1fc48c3ed35298a55f6698911a41b61d478d9ad08fa0d1782",
+    (5, "square-ideal"): "048c0ae6b6c75fa1ac824abc3e5a7dd61ae3b6508aedcd57884f4cda627f29b8",
+    (5, "cosine"): "04dfc69b70fee2cbbe794ddf52eab78c5a4af333f25950760536af8ae07e37f8",
+    (5, "complex"): "969cb7ef7ba1d641135a3b1220458a5e5f321c72eb5a27e86da3c92c5e0109e1",
+    (7, "square-quantized"): "cd6e22a09964ff62a92e0b5c1c7f4c45855af3f9dab9606800a43cc53c00bc28",
+    (7, "square-ideal"): "8fdf35ed6afb580ed11a5421fe1d5a5f842e77780fcfd5e5be4976f0b7771724",
+    (7, "cosine"): "d69137b618c38205174214e216b3381864de19c0517ed13e01b0991bb3dd73d5",
+    (7, "complex"): "bdaca5f7d8b099669888efc0f89fae0bd7eeacb0d824ad7e0d9c25841422a4ac",
+    (9, "square-quantized"): "8f2a97b14757a6c9385e4987d50b21e0264c8d5115d28a6e9ba59378ee0159da",
+    (9, "square-ideal"): "069e59648da248fe8d4896ed0bc65afba9be95ac19971aef79b766db44e11837",
+    (9, "cosine"): "483223cfcfbd26fef08a51118c1c62efc1ce302e89d1c70c6959fcec115b7c0c",
+    (9, "complex"): "86b0510668a53d65a7633ce006f8e4ebfcd51570d749a9e0b0f9a12929190548",
+}
+
+
+@pytest.mark.parametrize("sf,kind", list(_TEMPLATE_DIGESTS))
+def test_engine_templates_are_pinned(sf, kind):
+    p = chirp.derive_params(sf, 32768.0, fs_hz=32768.0)
+    templates = harness.BerEngine(p, kind).templates
+    assert hashlib.sha256(templates.tobytes()).hexdigest() == _TEMPLATE_DIGESTS[(sf, kind)]
 
 
 def test_engine_noiseless_is_error_free():

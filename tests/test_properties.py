@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burst_oracle import add_w_bursts
+from csv_oracle import from_csv as from_csv_oracle
 from rfsn import channel, chirp, cli, harness, powersim, rxdsp
 from rfsn.errors import ConfigurationError, RfsnError
 from rfsn.waveform import KIND_ANALOG, KIND_BINARY, Waveform
@@ -94,6 +95,41 @@ def test_fuzz_waveform_from_csv_returns_a_waveform_or_raises_rfsn_error(text, ki
     except RfsnError:
         return
     assert isinstance(w, Waveform) and w.kind == kind
+
+
+def _csv_outcome(read, text):
+    """The sample bits read from text, or the ConfigurationError text."""
+    try:
+        return read(io.StringIO(text), 1000.0).samples.view(np.int64).tolist()
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+_H = "sample_index,value\n"
+
+
+@given(_csv_texts)
+@example(_H + "0,0.5\n1.0,2\n")  # index cells numpy and int() might read differently
+@example(_H + "0,0.5\n+1,2\n")
+@example(_H + "0,0.5\n 1,2\n")
+@example(_H + "".join(f"{i},0\n" for i in range(10)) + "1_0,2\n")
+@example(_H + "0,1_0.5\n")  # value cells
+@example(_H + "0,-nan\n1,nan\n")
+@example(_H + "0,Infinity\n1,-inf\n")
+@example(_H + "0,1\n#1,2\n")
+@example(_H + "0\t,\t1.5\n\t1,2\t\n")
+@example(_H + "0\t\x1c,1\n")  # numpy strips \x1c-\x1f from a cell, int() does not
+@example(_H + "\U0007f6fa,0\n")  # numpy reads some non-ASCII index cells as integers
+@example(_H + "0,1\r1,2\n")  # a lone \r mid-line
+@example(_H + "0,1\r\n1,2\r\n")
+@example(_H + "0,1\n1,2\n\n \n\n")
+@example(_H + "0,1\n\n1,2\n")
+@example(_H + "0,1\n1,2")
+@example(_H)
+@example("sample_index,value")
+@settings(max_examples=300, deadline=None)
+def test_from_csv_equals_the_row_scan_oracle(text):
+    assert _csv_outcome(Waveform.from_csv, text) == _csv_outcome(from_csv_oracle, text)
 
 
 @given(st.integers(0, 1000), st.integers(1, 1000))

@@ -89,3 +89,35 @@ def test_csv_bytes_are_pinned():
     )
     buf.seek(0)
     assert np.array_equal(Waveform.from_csv(buf, 10.0).samples, w.samples)
+
+
+def _row_formatter_csv(samples) -> str:
+    """The CSV text of one f-string per row, as the format was first written."""
+    values = np.asarray(samples, dtype=np.float64).tolist()
+    return "sample_index,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
+
+
+def test_csv_bytes_equal_the_row_formatter(tmp_path):
+    rng = np.random.default_rng(7)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+    special = np.concatenate([
+        [-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310],
+        nans.view(np.float64),
+        [0.1, 0.1, -0.0, 1 / 3, 1e300, -1e-300],
+    ])
+    analog = np.concatenate([special, rng.choice(special, 200), rng.standard_normal(300)])
+    p = chirp.derive_params(5, 32768.0, fs_hz=32768.0)
+    waves = [
+        Waveform(analog, 10.0, KIND_ANALOG),
+        chirp.modulate_quantized(np.arange(p.n_bins), p),
+        Waveform(np.empty(0), 10.0, KIND_ANALOG),
+    ]
+    for w in waves:
+        buf = io.StringIO()
+        w.to_csv(buf)
+        assert buf.getvalue() == _row_formatter_csv(w.samples)
+        path = tmp_path / "w.csv"
+        w.to_csv(path)
+        assert path.read_bytes() == _row_formatter_csv(w.samples).encode()
+        back = Waveform.from_csv(path, w.fs_hz)
+        assert np.array_equal(back.samples, w.samples, equal_nan=True)
