@@ -161,12 +161,13 @@ def _parse_csv_rows(lines: list) -> np.ndarray | None:
     if not lines:
         return np.empty(0)
     body = "".join(lines)
-    # numpy 2.4 reads some non-ASCII index cells as integers (reading out of
-    # bounds), and strips \x1c-\x1f from a cell where int() and float() do not
+    # numpy 2.4 reads some non-ASCII index cells as integers and can crash on
+    # them, and strips \x1c-\x1f from a cell where int() and float() do not
     if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
         return None
     with warnings.catch_warnings(record=True) as caught:
-        # numpy < 2 reads an index cell like "1.5" as 1 with a DeprecationWarning
+        # numpy 1.x parses an index cell like "1.5" through float, to 1, with a
+        # DeprecationWarning
         warnings.simplefilter("always")
         try:
             rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_CSV_ROW, ndmin=1)
