@@ -36,8 +36,12 @@ ENGINE_BATCH = 4096
 # differently in the last bit.
 ENGINE_BLOCK_BYTES = 1 << 20
 
-# Composite-gain bracket (dB) searched by calibrate_composite_gain.
+# Composite-gain bracket (dB) that calibrate_composite_gain falls back to
+# when the bracket around its closed-form start does not hold the anchor.
 CALIBRATION_BRACKET_DB = (-40.0, 120.0)
+# Half-width (dB) of the first bracket, centred on the gain at which the
+# closed form rxdsp.ber_theory meets the anchor BER.
+CALIBRATION_START_HALF_DB = 3.0
 
 # Measured passive cold start fitted by fit_passive_efficiency_scale: the
 # 22 uF storage cap reaches V_MIN in 0.9 s at -2.3 dBm incident power.
@@ -552,20 +556,34 @@ class CalibrationResult:
 def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     """Fit the one free link-budget gain so MC BER matches the anchor point.
 
-    Bisection on the composite gain over CALIBRATION_BRACKET_DB; BER is
-    monotone decreasing in gain.  Stops when the achieved BER sits inside the
-    anchor's Wilson band or the bracket closes below 0.02 dB.
+    Bisection on the composite gain; BER is monotone decreasing in gain.  The
+    search starts CALIBRATION_START_HALF_DB either side of the gain at which
+    the closed form meets the anchor BER at the engine's own capture, and falls
+    back to CALIBRATION_BRACKET_DB when the MC BER at those ends does not
+    straddle the anchor.  Stops when the achieved BER sits inside the anchor's
+    Wilson band or the bracket closes below 0.02 dB.
     """
     pr = channel.IncidentPowerTable.default().incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
     eng = BerEngine(_engine_params(cfg), cfg.template)
     n = cfg.n_symbols_calibration
-    lo_db, hi_db = CALIBRATION_BRACKET_DB
+    # rxdsp.effective_snr inverted for the anchor's power, in dBm.  n0 gets its
+    # own log10, so no n0 the config allows underflows the product to 0, and
+    # the start is clamped into the fallback bracket.
+    snr = rxdsp.snr_for_ber(cfg.anchor_ber, cfg.sf)
+    start_dbm = 30.0 + 10.0 * (
+        math.log10(snr * eng.p.bw_hz / eng.detection_fraction()) + math.log10(cfg.n0_w_per_hz)
+    )
+    start_db = min(max(start_dbm - pr, CALIBRATION_BRACKET_DB[0]), CALIBRATION_BRACKET_DB[1])
 
     def run_at(gain_db: float, seed_salt: int) -> rxdsp.BerResult:
         ps = channel.dbm_to_w(pr + gain_db)
         return eng.run(ps, cfg.n0_w_per_hz, n, cfg.base_seed + 7000 + seed_salt)
 
-    if run_at(lo_db, 0).ber < cfg.anchor_ber or run_at(hi_db, 1).ber > cfg.anchor_ber:
+    half = CALIBRATION_START_HALF_DB
+    for lo_db, hi_db in ((start_db - half, start_db + half), CALIBRATION_BRACKET_DB):
+        if run_at(lo_db, 0).ber >= cfg.anchor_ber and run_at(hi_db, 1).ber <= cfg.anchor_ber:
+            break
+    else:
         raise CalibrationError(
             f"anchor BER {cfg.anchor_ber} not bracketed by gains [{lo_db}, {hi_db}] dB "
             f"(pr={pr} dBm, n0={cfg.n0_w_per_hz})"

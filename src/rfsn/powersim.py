@@ -241,8 +241,10 @@ def time_to_voltage(
     """Seconds to charge to V_MIN at constant incident power; inf if never.
 
     Forward-Euler on stored energy with dt <= 1 ms.  A run of STALL_STEPS
-    consecutive steps with no energy gain declares the target unreachable.
-    Where the leakage is flat, steps that gain and end below V_MIN run in _coast.
+    consecutive steps with no energy gain declares the target unreachable.  A
+    step that leaves the energy unchanged declares it at once: every later
+    step repeats it, so that run is bound to come.  Where the leakage is flat,
+    steps that gain and end below V_MIN run in _coast.
     """
     if dt_s > 1e-3 or dt_s <= 0:
         raise ConfigurationError("dt must lie in (0, 1e-3] s")
@@ -257,7 +259,7 @@ def time_to_voltage(
     while v < v_min:
         e_next = euler(e, p_in, leak_w(v), dt_s)[0]
         stalled = stalled + 1 if e_next <= e else 0
-        if stalled >= STALL_STEPS:
+        if e_next == e or stalled >= STALL_STEPS:
             return math.inf
         e = e_next
         v = sqrt(2.0 * e / cap)  # as Capacitor.v_volts

@@ -79,14 +79,13 @@ def dechirp_bins(x: np.ndarray, p: ChirpParams) -> np.ndarray:
     rate and FFT'd over all M = 2^sf * (fs/bw) samples.  A symbol s puts
     energy at bin s and, after the frequency wrap, at bin s - 2^sf + M; phase
     continuity makes the two add coherently, so F[k] = X[k] + X[M - 2^sf + k].
+    ChirpParams holds fs >= 8 bw, so M >= 8 * 2^sf.
     """
     m = p.samples_per_symbol
     if x.shape[-1] != m:
         raise ConfigurationError(f"expected {m} samples per symbol, got {x.shape[-1]}")
     n = p.n_bins
     spec = np.fft.fft(np.asarray(x) * _downchirp_conj(p.sf, m), axis=-1)
-    if m == n:
-        return spec
     return spec[..., :n] + spec[..., m - n : m]
 
 

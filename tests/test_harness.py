@@ -11,7 +11,7 @@ import pytest
 
 from burst_oracle import add_w_bursts
 from rfsn import channel, chirp, cli, harness, powersim, rxdsp
-from rfsn.errors import ConfigurationError
+from rfsn.errors import CalibrationError, ConfigurationError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -560,6 +560,66 @@ def test_calibrate_matches_anchor_ber():
     )
     half = 0.5 * (hi - lo)
     assert abs(res.achieved_ber - 0.162) <= 3 * half + 0.01
+
+
+@pytest.fixture
+def engine_powers(monkeypatch):
+    """The ps_w of every BerEngine.run call, in call order."""
+    powers = []
+    run = harness.BerEngine.run
+
+    def counted(self, ps_w, *args, **kwargs):
+        powers.append(ps_w)
+        return run(self, ps_w, *args, **kwargs)
+
+    monkeypatch.setattr(harness.BerEngine, "run", counted)
+    return powers
+
+
+def test_calibrate_falls_back_to_the_wide_bracket(monkeypatch, engine_powers):
+    # a closed-form start 20 dB too high: its bracket's low end already
+    # errs too little, so the search checks and bisects CALIBRATION_BRACKET_DB
+    snr_for_ber = rxdsp.snr_for_ber
+    monkeypatch.setattr(rxdsp, "snr_for_ber", lambda pb, sf: 100.0 * snr_for_ber(pb, sf))
+    cfg = harness.ExperimentConfig(
+        anchor_eirp_dbm=22.1,
+        anchor_ber=0.162,
+        n_symbols_calibration=4000,
+    )
+    res = harness.calibrate_composite_gain(cfg)
+    lo_db, hi_db = harness.CALIBRATION_BRACKET_DB
+    assert [channel.dbm_to_w(res.anchor_pr_dbm + g) for g in (lo_db, hi_db)] == engine_powers[1:3]
+    lo, hi = rxdsp.wilson_interval(
+        round(res.achieved_ber * res.n_symbols * cfg.sf), res.n_symbols * cfg.sf
+    )
+    half = 0.5 * (hi - lo)
+    assert abs(res.achieved_ber - 0.162) <= 3 * half + 0.01
+
+
+@pytest.mark.parametrize(
+    "n0, runs",
+    [
+        # the closed form puts the anchor at ~377 dB: the start clamps to 120 dB,
+        # and both brackets' high ends err too much
+        (1e30, 4),
+        # ~-2923 dB: the start clamps to -40 dB, and both low ends err too little
+        (1e-300, 2),
+    ],
+)
+def test_calibrate_raises_when_no_gain_reaches_the_anchor(engine_powers, n0, runs):
+    cfg = harness.ExperimentConfig(n0_w_per_hz=n0, n_symbols_calibration=500)
+    with pytest.raises(CalibrationError, match=r"not bracketed by gains \[-40\.0, 120\.0\] dB"):
+        harness.calibrate_composite_gain(cfg)
+    assert len(engine_powers) == runs
+
+
+def test_calibrate_shipped_config_starts_near_the_anchor(engine_powers):
+    cfg = dataclasses.replace(
+        harness.load_config(CONFIGS / "eirp_ber_sweep.cfg"), n_symbols_calibration=2000
+    )
+    res = harness.calibrate_composite_gain(cfg)
+    assert len(engine_powers) <= 7
+    assert abs(res.composite_gain_db - cfg.composite_gain_db) < 0.5
 
 
 def test_calibrate_rejects_absurd_anchor():

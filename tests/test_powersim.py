@@ -434,6 +434,31 @@ def test_time_to_voltage_bit_exact_on_charge_sweep_grid(variant, dt_s):
     assert any(math.isfinite(t) for t in got)
 
 
+@pytest.mark.parametrize("dp_db", [-0.3, -1e-6, 1e-6])
+def test_time_to_voltage_bit_exact_where_harvest_meets_leakage(dp_db):
+    # Just below the startup threshold the harvest climbs until leakage eats
+    # it and the energy settles on a fixed point (stalls, after ~5500 steps);
+    # just above it the charge crawls past the threshold and arrives.
+    h = powersim.HarvesterModel.default_active()
+    leak = powersim.LeakageCurve.default_without_startup()
+    pr = powersim.min_startup_incident_power(leak, h) + dp_db
+    assert h.harvested_power_w(pr) > 0.0
+    c = powersim.Capacitor(1e-3)
+    got = powersim.time_to_voltage(c, pr, h, leak)
+    assert got == _ref_time_to_voltage(c, 1.8, pr, h, leak, 1e-3)
+    assert math.isfinite(got) == (dp_db > 0)
+
+
+def test_time_to_voltage_bit_exact_where_leakage_beats_harvest_from_empty():
+    # a non-zero harvest below a flat leakage leaves an empty capacitor empty
+    h = powersim.HarvesterModel.default_passive()
+    leak = powersim.LeakageCurve.constant(1.0)
+    c = powersim.Capacitor(22e-6)
+    assert h.harvested_power_w(0.0) > 0.0
+    assert powersim.time_to_voltage(c, 0.0, h, leak) == math.inf
+    assert _ref_time_to_voltage(c, 1.8, 0.0, h, leak, 1e-3) == math.inf
+
+
 def _assert_fsm_matches_oracle(
     cap_f, pr_dbm, harvest_tx, duration_s, leak=_CURVES["with_startup"], v0=0.0
 ):
