@@ -84,7 +84,9 @@ class ExperimentConfig:
         those checks, the (EIRP, depth) points of the base and of the
         calibration anchor by looking them up in the measured incident-power
         table, and every sweep point as the sweeps resolve it: the chirp params
-        of its clock and its power in watts.  sweep_values is kept as a tuple.
+        of its clock and its power in watts.  The noise variance n0*fs/2 must be
+        finite at the base clock and at every sweep point's.  sweep_values is
+        kept as a tuple.
         """
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         problems = []
@@ -104,7 +106,11 @@ class ExperimentConfig:
                 if str(exc) not in problems:
                     problems.append(f"{key}: {exc}" if key else str(exc))
 
-        check(lambda: _engine_params(self))
+        # sample rate -> the points simulated at it, for the noise variance check
+        clocks: dict[float, list[str]] = {}
+        base = check(lambda: _engine_params(self))
+        if base:
+            clocks[base.fs_hz] = [f"fosc_hz={self.fosc_hz}"]
         check(lambda: powersim.Capacitor(self.capacitance_f), f"capacitance_f={self.capacitance_f}")
         check(lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm))
         check(lambda: table.incident_power_dbm(self.anchor_eirp_dbm, self.depth_cm))
@@ -113,7 +119,9 @@ class ExperimentConfig:
             resolved = check(lambda: point(self, table, v))
             if resolved:
                 key = f"{self.sweep_axis}={v}"
-                check(lambda: _engine_params(self, resolved[0]), key)
+                params = check(lambda: _engine_params(self, resolved[0]), key)
+                if params:
+                    clocks.setdefault(params.fs_hz, []).append(key)
                 try:
                     channel.dbm_to_w(resolved[1] + self.composite_gain_db)
                 except ConfigurationError as exc:
@@ -121,6 +129,14 @@ class ExperimentConfig:
         check(lambda: charge_models(self), f"efficiency_scale={self.efficiency_scale}")
         if self.n0_w_per_hz <= 0:
             problems.append(f"n0_w_per_hz={self.n0_w_per_hz} must be positive")
+        elif math.isfinite(self.n0_w_per_hz):
+            noise = channel.NoiseModel(self.n0_w_per_hz)
+            for fs, keys in clocks.items():
+                if not math.isfinite(noise.variance(fs)):
+                    problems.append(
+                        f"n0_w_per_hz={self.n0_w_per_hz} gives a non-finite noise variance "
+                        f"at fs={fs:g} Hz ({', '.join(keys)})"
+                    )
         if self.template not in TEMPLATE_KINDS:
             problems.append(f"template={self.template!r} not one of {TEMPLATE_KINDS}")
         if self.sweep_axis not in SWEEP_AXES:

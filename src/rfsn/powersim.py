@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +31,11 @@ STALL_STEPS = 1000
 # Incident-power range (dBm) searched by min_startup_incident_power.
 STARTUP_SEARCH_DBM = (-60.0, 40.0)
 
-# Most Euler steps _coast runs in one numpy call group, which bounds its
-# temporaries to a few hundred kB.
-_COAST_STEPS = 4096
+# A positive normal float x is m ulps of its binade [2^p, 2^(p+1)), with
+# 2^52 <= m < 2^53.  _grid keeps each sum's m within [_M_LO, _M_HI], so
+# that no exact sum comes within half an ulp of a binade edge.
+_M_LO, _M_HI = 2.0**52 + 1.0, 2.0**53 - 1.0
+_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ class HarvesterModel:
     efficiency_points: tuple[tuple[float, float], ...]
     sensitivity_dbm: float = -math.inf
     scale: float = 1.0
+    # knot table built once, as np.interp reads it
+    _dbm: np.ndarray = field(init=False, repr=False, compare=False)
+    _eta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.efficiency_points
@@ -96,6 +102,8 @@ class HarvesterModel:
             eta for _, eta in pts
         ):
             raise ConfigurationError("scaled efficiency must stay within [0, 1]")
+        object.__setattr__(self, "_dbm", np.array([p for p, _ in pts]))
+        object.__setattr__(self, "_eta", np.array([eta for _, eta in pts]))
 
     @classmethod
     def default_active(cls) -> "HarvesterModel":
@@ -121,11 +129,9 @@ class HarvesterModel:
         return HarvesterModel(self.efficiency_points, self.sensitivity_dbm, scale)
 
     def efficiency(self, pr_dbm: float) -> float:
-        x = np.array([p for p, _ in self.efficiency_points])
-        y = np.array([eta for _, eta in self.efficiency_points])
-        if pr_dbm < self.sensitivity_dbm or pr_dbm < x[0]:
+        if pr_dbm < self.sensitivity_dbm or pr_dbm < self.efficiency_points[0][0]:
             return 0.0
-        return self.scale * float(np.interp(pr_dbm, x, y))
+        return self.scale * float(np.interp(pr_dbm, self._dbm, self._eta))
 
     def harvested_power_w(self, pr_dbm: float) -> float:
         return self.efficiency(pr_dbm) * dbm_to_w(pr_dbm)
@@ -141,14 +147,12 @@ class LeakageCurve:
     """
 
     points: tuple[tuple[float, float], ...]
-    # knot table built once, since power_w runs on every Euler step: knot
+    # knot table built once, since the charge loops step through it: knot
     # voltages, log powers, powers exp(log power) and segment slopes
     _volts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _log_powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _powers: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # power_w is constant from this voltage up: the last knot, or -inf for one knot
-    _flat_from: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = self.points
@@ -170,7 +174,6 @@ class LeakageCurve:
             "_slopes",
             tuple((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)),
         )
-        object.__setattr__(self, "_flat_from", xs[-1] if len(xs) > 1 else -math.inf)
 
     @classmethod
     def default_without_startup(cls) -> "LeakageCurve":
@@ -185,50 +188,172 @@ class LeakageCurve:
         return cls(((0.0, power_w),))
 
     def power_w(self, v_volts: float) -> float:
-        """exp of ``np.interp(v_volts, knot volts, log powers)``, bit for bit.
+        """exp of ``np.interp(v_volts, knot volts, log powers)``, bit for bit:
+        one knot gives its value (NaN included), else NaN gives NaN and the
+        knot segment holding v_volts decides."""
+        if v_volts != v_volts and len(self._volts) > 1:
+            return float(np.exp(v_volts))  # np.exp quiets a signalling NaN
+        lo, _, rule = self._segment(v_volts)
+        return _segment_power(v_volts, lo, *rule)
 
-        Follows numpy's rules: one knot gives its value (NaN included), ends
-        clamp, an exact knot gives that knot's value, and between knots
-        slope*(v - x_j) + y_j.  Only that last case and NaN compute an exp:
-        np.exp, not math.exp, since the two differ in the last bit for some
-        inputs, and np.exp quiets a signalling NaN.
-        """
-        xs = self._volts
-        if len(xs) == 1 or v_volts <= xs[0]:
-            return self._powers[0]
-        if v_volts >= xs[-1]:
-            return self._powers[-1]
-        if v_volts != v_volts:
-            return float(np.exp(v_volts))
-        j = bisect.bisect_right(xs, v_volts) - 1
-        if xs[j] == v_volts:
-            return self._powers[j]
-        return float(np.exp(self._slopes[j] * (v_volts - xs[j]) + self._log_powers[j]))
+    def _segment(self, v_volts: float) -> tuple[float, float, tuple]:
+        """(lo, hi, (p, slope, y)): the knot segment lo <= v_volts < hi and
+        its _segment_power rule.  Past the end knots (everywhere for one knot)
+        slope is None; between knots, lo is the lower one and p, y its power
+        and log power."""
+        xs, ps = self._volts, self._powers
+        j = bisect.bisect_right(xs, v_volts) - 1 if len(xs) > 1 else 0
+        if j < 0:
+            return -math.inf, xs[0], (ps[0], None, 0.0)
+        if j == len(xs) - 1:
+            return xs[-1] if j else -math.inf, math.inf, (ps[-1], None, 0.0)
+        return xs[j], xs[j + 1], (ps[j], self._slopes[j], self._log_powers[j])
 
 
-def _coast(e, t, p_in_w, p_out_w, dt_s, cap, v_stop, t_stop, harvested=0.0, consumed=0.0):
+def _segment_power(v, lo, p, slope, y):
+    """Leakage power at v on a knot segment: p where it is flat or at its
+    knot lo, else exp of the interpolated log power, by np.exp, since
+    math.exp differs from it in the last bit for some inputs."""
+    return p if slope is None or v == lo else float(np.exp(slope * (v - lo) + y))
+
+
+def _grid(x, a, b):
+    """(m, k, u, n): the running sum x <- (x + a) - b, a and b >= 0, adds
+    exactly k ulps u on each of its next n steps (n inf for k = 0), with
+    x = m*u; None where that is not shown.
+
+    Inside x's binade, adding a rounds to the whole number of ulps nearest
+    a/u, and at a tie (a/u half an integer) to the even sum; subtracting b
+    likewise.  So the first step, taken in floats, repeats while no exact sum
+    leaves the binade, if it met no tie or added an even k (which keeps every
+    parity).  None for a zero or subnormal x, a falling sum, a first step
+    that leaves the binade, or an odd k after a tie.
+    """
+    if not x >= _NORMAL:
+        return None
+    u = math.ulp(x)
+    s = x + a
+    y = s - b
+    m, ka, k = x / u, (s - x) / u, (y - x) / u
+    if k < 0 or m + ka > _M_HI or (b and m + k < _M_LO):
+        return None
+    if k % 2 and 0.5 * u in (abs(a - (s - x)), abs(b - (s - y))):
+        return None
+    return m, k, u, (_M_HI - ka - m) // k + 1 if k else math.inf
+
+
+def _last(ok, hi, guess):
+    """Largest j in [0, hi] with ok(j), ok holding for 1..j and failing above:
+    a bisection whose first probes bracket the guess."""
+    lo, g = 0, int(min(hi, max(0.0, guess)))
+    for j in (g, g + 1, g - 1, g + 2):
+        if lo < j <= hi:
+            lo, hi = (j, hi) if ok(j) else (lo, j - 1)
+    while lo < hi:
+        j = (lo + hi + 1) // 2
+        lo, hi = (j, hi) if ok(j) else (lo, j - 1)
+    return lo
+
+
+def _run(x, a, n, stop=math.inf):
+    """(x, j) after j <= n steps of x <- x + a (a >= 0), stopping before a
+    step that would start at or above stop.  The steps inside a binade land
+    at once (_grid), their count below stop exact in integers, since stop/u
+    is one from 2^52 up; the others run in floats."""
+    j = 0
+    while j < n and x < stop:
+        g = _grid(x, a, 0.0)
+        if g is None:
+            x += a
+            j += 1
+            continue
+        m, k, u, room = g
+        s = stop / u
+        below = -((m - s) // k) if k and s < 2.0**53 else math.inf
+        take = int(min(n - j, room, below))
+        x = (m + take * k) * u
+        j += take
+    return x, j
+
+
+def _coast(e, t, p_in_w, p_out_w, dt_s, cap, v_stop, t_stop, *ledgers):
     """Take euler_step's steps at constant powers while each starts before t_stop,
     gains energy (so nothing clamps or stalls) and ends below v_stop.  Returns
-    (e, v, t, harvested, consumed) after them.  np.add.accumulate adds left to right,
-    so over [e, h, -c, h, -c, ...] each partial sum rounds as (e + h) - c does.
+    (e, v, t, *ledgers) after them, the ledgers (harvested, consumed) summed.
+
+    The energy (e + h) - c grows by a fixed number of ulps a step inside its
+    binade (_grid).  The voltage test is monotone in the step, so its last
+    pass is bisected on the float expression the step would test; the clock,
+    which stops the steps at t_stop, and the ledgers follow in _run.  Other
+    steps run as euler_step.
     """
     h, c = p_in_w * dt_s, p_out_w * dt_s
     while True:
-        e1 = (e + h) - c
+        g = _grid(e, h, c)
+        if g and g[1]:
+            me, ke, ue, room = g
+            steps = int(room)
+            if not math.sqrt(2.0 * ((me + steps * ke) * ue) / cap) < v_stop:
+                steps = _last(
+                    lambda j: math.sqrt(2.0 * ((me + j * ke) * ue) / cap) < v_stop,
+                    steps,
+                    (0.5 * cap * v_stop * v_stop / ue - me) / ke,
+                )
+            t, steps = _run(t, dt_s, steps, t_stop)
+            e = (me + steps * ke) * ue
+            ledgers = [_run(x, a, steps)[0] for x, a in zip(ledgers, (h, c))]
+            if steps < room:
+                return e, math.sqrt(2.0 * e / cap), t, *ledgers
+        e1, got, used = euler_step(e, p_in_w, p_out_w, dt_s)
         if not (t < t_stop and e < e1 and math.sqrt(2.0 * e1 / cap) < v_stop):
-            return e, math.sqrt(2.0 * e / cap), t, harvested, consumed
-        # up to _COAST_STEPS steps, sized to end near the stop
-        n = 2 + int(max(0.0, min(
-            _COAST_STEPS - 2, (0.5 * cap * v_stop * v_stop - e) / (e1 - e), (t_stop - t) / dt_s
-        )))
-        inc = np.empty(2 * n + 1)
-        inc[0], inc[1::2], inc[2::2] = e, h, -c
-        run = np.full((n + 1, 3), (dt_s, h, c))
-        run[0] = t, harvested, consumed
-        es, run = np.add.accumulate(inc)[::2], np.add.accumulate(run)  # run: t and the ledgers
-        ok = (run[:-1, 0] < t_stop) & (es[:-1] < es[1:]) & (np.sqrt(2.0 * es[1:] / cap) < v_stop)
-        k = int(np.argmin(np.append(ok, False)))
-        e, (t, harvested, consumed) = float(es[k]), run[k].tolist()
+            return e, math.sqrt(2.0 * e / cap), t, *ledgers
+        e, t = e1, t + dt_s
+        if ledgers:
+            ledgers = [ledgers[0] + got, ledgers[1] + used]
+
+
+def _charge(e, t, p_in, leak, dt, cap, v_stop, t_stop, ledgers, stall=False):
+    """Euler-step the stored energy e from time t at harvest p_in under leak
+    until the voltage reaches v_stop or a step would start at t_stop or later,
+    taking at least one step.  Returns (e, v, t, ledgers), the ledgers
+    [harvested, consumed] or [] summed.  With stall, t is inf when a step
+    leaves the energy unchanged (every later step repeats it) or STALL_STEPS
+    steps in a row gain nothing.  Where the leakage is flat, _coast takes
+    the steps that gain and end below v_stop."""
+    track = bool(ledgers)
+    harvested, consumed = ledgers if track else (0.0, 0.0)
+    euler, sqrt, inf = euler_step, math.sqrt, math.inf
+    v = sqrt(2.0 * e / cap)  # as Capacitor.v_volts
+    lo = hi = math.nan  # the knot segment of v, looked up again when v leaves it
+    stalled = 0
+    while t < t_stop:
+        if not lo <= v < hi:
+            lo, hi, (p, slope, y) = leak._segment(v)
+        p_out = _segment_power(v, lo, p, slope, y)
+        if hi == inf:
+            e0 = e
+            e, v, t, *ledgers = _coast(
+                e, t, p_in, p_out, dt, cap, v_stop, t_stop, *([harvested, consumed] if track else ())
+            )
+            if track:
+                harvested, consumed = ledgers
+            if e != e0:
+                stalled = 0
+            if not t < t_stop:
+                break
+        e_next, got, used = euler(e, p_in, p_out, dt)
+        if stall:
+            stalled = stalled + 1 if e_next <= e else 0
+            if e_next == e or stalled >= STALL_STEPS:
+                return e, v, inf, []
+        e = e_next
+        v = sqrt(2.0 * e / cap)
+        t += dt
+        harvested += got
+        consumed += used
+        if v >= v_stop:
+            break
+    return e, v, t, [harvested, consumed] if track else []
 
 
 def time_to_voltage(
@@ -243,32 +368,16 @@ def time_to_voltage(
     Forward-Euler on stored energy with dt <= 1 ms.  A run of STALL_STEPS
     consecutive steps with no energy gain declares the target unreachable.  A
     step that leaves the energy unchanged declares it at once: every later
-    step repeats it, so that run is bound to come.  Where the leakage is flat,
-    steps that gain and end below V_MIN run in _coast.
+    step repeats it, so that run is bound to come.
     """
     if dt_s > 1e-3 or dt_s <= 0:
         raise ConfigurationError("dt must lie in (0, 1e-3] s")
+    if c.v_volts >= V_MIN:
+        return 0.0
     p_in = harvester.harvested_power_w(pr_dbm)
-    cap = c.capacitance_f
-    e = c.energy_j
-    v = c.v_volts
-    t = 0.0
-    stalled = 0
-    v_min, v_flat, leak_w = V_MIN, leakage._flat_from, leakage.power_w
-    euler, sqrt = euler_step, math.sqrt
-    while v < v_min:
-        e_next = euler(e, p_in, leak_w(v), dt_s)[0]
-        stalled = stalled + 1 if e_next <= e else 0
-        if e_next == e or stalled >= STALL_STEPS:
-            return math.inf
-        e = e_next
-        v = sqrt(2.0 * e / cap)  # as Capacitor.v_volts
-        t += dt_s
-        if v >= v_flat:
-            # stalled stays right: a coast takes steps only after a gaining step,
-            # since (e + h) - c is monotone in e at fixed h and c
-            e, v, t = _coast(e, t, p_in, leak_w(v), dt_s, cap, v_min, math.inf)[:3]
-    return t
+    return _charge(
+        c.energy_j, 0.0, p_in, leakage, dt_s, c.capacitance_f, V_MIN, math.inf, [], stall=True
+    )[2]
 
 
 def min_startup_incident_power(leak: LeakageCurve, h: HarvesterModel) -> float:
@@ -344,8 +453,8 @@ def run_active_fsm(
     Cold-charges to fsm.V_START, pays the boot cost, then alternates transmit
     bursts (packets sent back-to-back while the budget allows dropping no
     lower than fsm.V_SLEEP) with recharge sleeps up to fsm.V_WAKE.  Charge and
-    sleep steps last FSM_DT_S, packet steps fsm.PACKET_TIME_S; where the leakage
-    is flat, the charge and sleep steps that cause no event run in _coast.
+    sleep steps last FSM_DT_S and run in _charge, packet steps
+    fsm.PACKET_TIME_S.
     """
     p_in = h.harvested_power_w(pr_dbm)
     pin_tx = p_in if harvest_while_transmitting else 0.0
@@ -362,29 +471,16 @@ def run_active_fsm(
     trace.log(t, "start", v)
     e_sleep = c.energy_at(fsm.V_SLEEP)
     v_up = fsm.V_START  # the threshold that ends a charge: V_START cold, V_WAKE after boot
-    leak_w, euler, sqrt, v_flat = leak.power_w, euler_step, math.sqrt, leak._flat_from
+    leak_w, euler, sqrt = leak.power_w, euler_step, math.sqrt
 
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s:
-        p_step, p_out, step, event = p_in, leak_w(v), dt, None
-        if state == TRANSMITTING:
-            drain = p_out * pt + e_packet
-            if e + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
-                p_step, p_out, step, event = pin_tx, drain / pt, pt, "packet"
-            else:
-                # the first recharge step comes before the log, so every
-                # event timestamp is strictly later than the last packet's
-                state, event = SLEEPING, "sleep"
-        e, got, used = euler(e, p_step, p_out, step)
-        v = sqrt(2.0 * e / cap)
-        harvested += got
-        consumed += used
-        t += step
-        if event is not None:
-            if event == "packet":
-                trace.packets_sent += 1
-            trace.log(t, event, v)
-        elif v >= v_up:
+        if state != TRANSMITTING:
+            e, v, t, (harvested, consumed) = _charge(
+                e, t, p_in, leak, dt, cap, v_up, duration_s, [harvested, consumed]
+            )
+            if v < v_up:
+                break  # the run ended first
             if state == COLD:
                 # boot is an impulse: the whole bring-up cost at once
                 e, got, used = euler(e, 0.0, e_boot / dt, dt)
@@ -399,10 +495,22 @@ def run_active_fsm(
             else:
                 trace.log(t, "wake", v)
             state = TRANSMITTING
-        if state != TRANSMITTING and v >= v_flat:
-            e, v, t, harvested, consumed = _coast(
-                e, t, p_in, leak_w(v), dt, cap, v_up, duration_s, harvested, consumed
-            )
+            continue
+        p_out = leak_w(v)
+        drain = p_out * pt + e_packet
+        if e + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
+            p_step, p_out, step, event = pin_tx, drain / pt, pt, "packet"
+            trace.packets_sent += 1
+        else:
+            # the first recharge step comes before the log, so every event
+            # timestamp is strictly later than the last packet's
+            p_step, step, event, state = p_in, dt, "sleep", SLEEPING
+        e, got, used = euler(e, p_step, p_out, step)
+        v = sqrt(2.0 * e / cap)
+        harvested += got
+        consumed += used
+        t += step
+        trace.log(t, event, v)
 
     trace.bytes_sent = trace.packets_sent * fsm.MSDU_BYTES
     trace.harvested_j = harvested

@@ -213,6 +213,30 @@ def test_out_of_range_inputs_exit_2(argv, cfg_text, tmp_path, capsys, monkeypatc
     assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "cfg_text, point",
+    [
+        ("n0_w_per_hz = 1e308\n", "eirp_dbm=22.1"),  # n0*fs/2 overflows at the base clock
+        # only the 1e10 Hz point's clock (8*bw) overflows n0*fs/2
+        ("n0_w_per_hz = 1e300\nsweep_axis = bandwidth_hz\nsweep_values = 4096, 1e10\n",
+         "bandwidth_hz=10000000000.0"),
+    ],
+    ids=["at-every-clock", "at-one-sweep-clock"],
+)
+def test_noise_whose_variance_overflows_exits_2(cfg_text, point, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran on an invalid config")
+
+    monkeypatch.setattr(harness.BerEngine, "run", refuse)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(cfg_text)
+    code = main(["ber-sweep", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n0_w_per_hz=" in err and "non-finite noise variance" in err and point in err
+    assert "bandwidth_hz=4096.0" not in err
+
+
 def _reject_constant(name):
     raise ValueError(f"JSON holds the non-standard constant {name}")
 

@@ -419,6 +419,33 @@ def test_leakage_power_bit_exact_on_random_curves(leak, vs):
     assert _bits([leak.power_w(v) for v in vs]) == _bits([_ref_power_w(leak, v) for v in vs])
 
 
+def _ref_efficiency(h, pr_dbm):
+    xs = np.array([p for p, _ in h.efficiency_points])
+    ys = np.array([eta for _, eta in h.efficiency_points])
+    if pr_dbm < h.sensitivity_dbm or pr_dbm < xs[0]:
+        return 0.0
+    return h.scale * float(np.interp(pr_dbm, xs, ys))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        powersim.HarvesterModel.default_active(),  # sensitivity above the first anchor
+        powersim.HarvesterModel.default_passive().with_scale(0.37),
+        powersim.HarvesterModel(((-3.0, 0.1), (7.5, 0.4)), -20.0, 2.5),
+    ],
+    ids=["active", "passive-scaled", "two-anchors"],
+)
+def test_harvester_efficiency_bit_exact_against_np_interp(h):
+    rng = np.random.default_rng(11)
+    anchors = [p for p, _ in h.efficiency_points]
+    # from below the sensitivity and the first anchor to past the last
+    prs = [float(p) for p in rng.uniform(anchors[0] - 15.0, anchors[-1] + 15.0, 5000)]
+    prs += anchors + [h.sensitivity_dbm, -math.inf, math.inf]
+    prs += [math.nextafter(p, d) for p in anchors + [h.sensitivity_dbm] for d in (-math.inf, math.inf)]
+    assert _bits([h.efficiency(p) for p in prs]) == _bits([_ref_efficiency(h, p) for p in prs])
+
+
 @pytest.mark.parametrize("variant", ["passive", "active"])
 @pytest.mark.parametrize("dt_s", [1e-3, 5e-4])
 def test_time_to_voltage_bit_exact_on_charge_sweep_grid(variant, dt_s):
@@ -536,14 +563,15 @@ def test_run_active_fsm_bit_exact_where_the_leakage_is_flat(pr_dbm, leak, v0, ha
 
 # ------------------------------------------------ constant-power stretches
 
-def _scalar_coast(e, t, p_in, p_out, dt, cap, v_stop, t_stop, harvested=0.0, consumed=0.0):
+def _scalar_coast(e, t, p_in, p_out, dt, cap, v_stop, t_stop, *ledgers):
     """powersim._coast's contract as a plain euler_step loop."""
     while t < t_stop:
         e1, got, used = powersim.euler_step(e, p_in, p_out, dt)
         if not (e1 > e and math.sqrt(2.0 * e1 / cap) < v_stop):
             break
-        e, t, harvested, consumed = e1, t + dt, harvested + got, consumed + used
-    return e, math.sqrt(2.0 * e / cap), t, harvested, consumed
+        e, t = e1, t + dt
+        ledgers = [x + a for x, a in zip(ledgers, (got, used))]
+    return e, math.sqrt(2.0 * e / cap), t, *ledgers
 
 
 def _assert_coast_matches_scalar(*args):
@@ -557,26 +585,89 @@ def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda x: 10.0**x)
 
 
-@given(
-    cap=_log_uniform(-6.0, 0.0),
-    v_stop=st.floats(0.0, 10.0),
-    v0_frac=st.floats(0.0, 1.0),
-    p_in=_log_uniform(-7.0, -1.0),
-    loss_ratio=st.floats(0.0, 1.2),
-    dt=st.floats(1e-5, 1e-3),
-    t0=st.floats(0.0, 100.0),
-    n_max=st.integers(0, 9000),
-    harvested=st.floats(0.0, 1.0),
-    consumed=st.floats(0.0, 1.0),
-)
-def test_coast_equals_the_scalar_loop(
-    cap, v_stop, v0_frac, p_in, loss_ratio, dt, t0, n_max, harvested, consumed
-):
-    # stops on the voltage, the time or a step that gains nothing, whichever comes first
-    e0 = 0.5 * cap * (v0_frac * v_stop) ** 2
-    _assert_coast_matches_scalar(
-        e0, t0, p_in, loss_ratio * p_in, dt, cap, v_stop, t0 + n_max * dt, harvested, consumed
+def _clear_low_bits(x, bits):
+    """x with the low bits of its 53-bit mantissa cleared.  Adding such a
+    step ties (half an ulp) in a binade further up, where it lasts longer."""
+    f, p = math.frexp(x)
+    return math.ldexp(math.floor(math.ldexp(f, 53 - bits)), p - 53 + bits)
+
+
+def _below_a_power_of_two(step):
+    """0 to 3 steps below a power of two, so the first steps cross a binade edge."""
+    return st.tuples(st.integers(-45, 2), st.integers(0, 3)).map(
+        lambda kj: max(0.0, 2.0 ** kj[0] - kj[1] * step)
     )
+
+
+@given(st.data())
+def test_coast_equals_the_scalar_loop(data):
+    # stops on the voltage, the time or a step that gains nothing, whichever
+    # comes first; the draws put ties, zero sums and binade edges within reach
+    draw = data.draw
+    cap, v_stop = draw(_log_uniform(-6.0, 0.0)), draw(st.floats(0.0, 10.0))
+    bits = st.sampled_from([0, 8, 20, 40])
+    p_in = draw(st.builds(_clear_low_bits, _log_uniform(-7.0, -1.0), bits))
+    p_out = p_in * draw(st.floats(0.0, 1.2))
+    dt = draw(st.builds(_clear_low_bits, st.floats(1e-5, 1e-3), bits))
+    h, c = p_in * dt, p_out * dt
+    e0 = draw(
+        st.one_of(
+            st.floats(0.0, 1.0).map(lambda f: 0.5 * cap * (f * v_stop) ** 2),
+            st.floats(0.25, 4.0).map(lambda f: f * h),  # within x4 of a step's harvest
+            _below_a_power_of_two(h),
+        )
+    )
+    t0 = draw(st.one_of(st.floats(0.0, 100.0), _below_a_power_of_two(dt)))
+    ledger = [st.one_of(st.just(0.0), st.floats(0.0, 1.0), _below_a_power_of_two(a)) for a in (h, c)]
+    ledgers = draw(st.one_of(st.just(()), st.tuples(*ledger)))
+    n = draw(st.integers(0, 20_000))
+    t_stop = t0 + n * dt
+    if draw(st.booleans()):  # exactly where step n would start
+        t_stop = t0
+        for _ in range(n):
+            t_stop += dt
+    _assert_coast_matches_scalar(e0, t0, p_in, p_out, dt, cap, v_stop, t_stop, *ledgers)
+
+
+_ULP_ABOVE_ONE = 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "e0, t0, p_in, p_out, dt, cap, v_stop, n, ledgers",
+    [
+        (1e-3, 0.0, 1e-3, 1e-4, 1e-3, 1e-3, 1e3, 5000, (0.0, 0.0)),
+        # an odd mantissa plus 2.5 ulps ties up to the even sum (3 ulps); then
+        # every step adds 2 ulps
+        (1.0 + _ULP_ABOVE_ONE, 0.0, 2.5 * _ULP_ABOVE_ONE, 0.0, 1.0, 2.0, 10.0, 1000, (0.0, 1.0)),
+        (3.1e-9, 0.0, 1e-6, 1e-7, 1e-3, 1e-3, 3.0, 5000, (0.5, 0.25)),
+        # the energy, the clock and both ledgers two steps below a power of two
+        (2.0**-10 - 2 * 2.0**-20, 8.0 - 2 * 2.0**-10, 2.0**-10, 0.0, 2.0**-10, 1.0, 10.0, 3000,
+         (2.0**-6 - 2 * 2.0**-20, 1.0)),
+        (0.5 * 1e-3 * 1.8**2, 2.35, 3e-4, 6.1e-5, 1e-3, 1e-3, 3.2, 20_000, (7e-4, 2e-4)),
+    ],
+    ids=["zero-ledgers", "tie-at-an-odd-mantissa", "gain-within-x4-of-the-energy",
+         "every-sum-at-a-binade-edge", "longer-than-4096-steps"],
+)
+@pytest.mark.parametrize("t_stop_on_a_step", [True, False])
+def test_coast_edges_equal_the_scalar_loop(e0, t0, p_in, p_out, dt, cap, v_stop, n, ledgers, t_stop_on_a_step):
+    t_stop = t0 + n * dt
+    if t_stop_on_a_step:
+        t_stop = t0
+        for _ in range(n):
+            t_stop += dt
+    _assert_coast_matches_scalar(e0, t0, p_in, p_out, dt, cap, v_stop, t_stop, *ledgers)
+
+
+def test_coast_lands_long_stretches_at_once(monkeypatch):
+    # ~14 600 flat-leakage steps of the 1 mF active store from 1.8 V to 3.2 V:
+    # only the steps at the binade edges of the four sums run one by one
+    args = (0.5 * 1e-3 * 1.8**2, 2.35, 3e-4, 6.1e-5, 1e-3, 1e-3, 3.2, 60.0, 7e-4, 2e-4)
+    want = _scalar_coast(*args)
+    steps = []
+    euler_step = powersim.euler_step
+    monkeypatch.setattr(powersim, "euler_step", lambda *a: steps.append(a) or euler_step(*a))
+    assert _bits(powersim._coast(*args)) == _bits(want)
+    assert want[2] > 14.0 + args[1] and len(steps) < 20
 
 
 _ULP_BELOW_ONE = 2.0**-53
@@ -601,9 +692,9 @@ def test_coast_stops_before_each_event(e0, p_in, p_out, dt, cap, v_stop, want_st
     assert _assert_coast_matches_scalar(*args) == want_steps * dt
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, powersim._COAST_STEPS])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 4096])
 def test_coast_stops_exactly_on_the_step_budget(extra):
     # dt is a power of two, so exactly n steps start before t_stop = n * dt
-    n = powersim._COAST_STEPS + extra
+    n = 4096 + extra
     dt = 2.0**-10
     assert _assert_coast_matches_scalar(1e-3, 0.0, 1e-3, 1e-4, dt, 1e-3, 1e3, n * dt) == n * dt
