@@ -259,35 +259,39 @@ def _run(x, a, n, stop=math.inf):
     """(x, j) after j <= n steps of x <- x + a (a >= 0), stopping before a
     step that would start at or above stop.  The steps inside a binade land
     at once (_grid), their count below stop exact in integers, since stop/u
-    is one from 2^52 up; the others run in floats."""
+    is one from 2^52 up; the others run in floats, as does the step after a
+    binade's last, which leaves it."""
     j = 0
     while j < n and x < stop:
         g = _grid(x, a, 0.0)
-        if g is None:
-            x += a
-            j += 1
-            continue
-        m, k, u, room = g
-        s = stop / u
-        below = -((m - s) // k) if k and s < 2.0**53 else math.inf
-        take = int(min(n - j, room, below))
-        x = (m + take * k) * u
-        j += take
+        if g:
+            m, k, u, room = g
+            s = stop / u
+            below = -((m - s) // k) if k and s < 2.0**53 else math.inf
+            take = int(min(n - j, room, below))
+            x = (m + take * k) * u
+            j += take
+            if not (j < n and x < stop):
+                break
+        x += a
+        j += 1
     return x, j
 
 
-def _coast(e, t, p_in_w, p_out_w, dt_s, cap, v_stop, t_stop, *ledgers):
+def _coast(e, t, p_in_w, p_out_w, dt_s, cap, v_stop, t_stop, harvested, consumed):
     """Take euler_step's steps at constant powers while each starts before t_stop,
     gains energy (so nothing clamps or stalls) and ends below v_stop.  Returns
-    (e, v, t, *ledgers) after them, the ledgers (harvested, consumed) summed.
+    (e, v, t, harvested, consumed) after them, the two ledgers summed.
 
     The energy (e + h) - c grows by a fixed number of ulps a step inside its
     binade (_grid).  The voltage test is monotone in the step, so its last
     pass is bisected on the float expression the step would test; the clock,
-    which stops the steps at t_stop, and the ledgers follow in _run.  Other
-    steps run as euler_step.
+    which stops the steps at t_stop, follows in _run.  Other steps run as
+    euler_step.  No step clamps, so each adds h and c to the ledgers, which
+    take all of them in one _run at the end.
     """
     h, c = p_in_w * dt_s, p_out_w * dt_s
+    taken = 0
     while True:
         g = _grid(e, h, c)
         if g and g[1]:
@@ -301,27 +305,26 @@ def _coast(e, t, p_in_w, p_out_w, dt_s, cap, v_stop, t_stop, *ledgers):
                 )
             t, steps = _run(t, dt_s, steps, t_stop)
             e = (me + steps * ke) * ue
-            ledgers = [_run(x, a, steps)[0] for x, a in zip(ledgers, (h, c))]
+            taken += steps
             if steps < room:
-                return e, math.sqrt(2.0 * e / cap), t, *ledgers
-        e1, got, used = euler_step(e, p_in_w, p_out_w, dt_s)
+                break
+        e1 = euler_step(e, p_in_w, p_out_w, dt_s)[0]
         if not (t < t_stop and e < e1 and math.sqrt(2.0 * e1 / cap) < v_stop):
-            return e, math.sqrt(2.0 * e / cap), t, *ledgers
+            break
         e, t = e1, t + dt_s
-        if ledgers:
-            ledgers = [ledgers[0] + got, ledgers[1] + used]
+        taken += 1
+    harvested, consumed = _run(harvested, h, taken)[0], _run(consumed, c, taken)[0]
+    return e, math.sqrt(2.0 * e / cap), t, harvested, consumed
 
 
-def _charge(e, t, p_in, leak, dt, cap, v_stop, t_stop, ledgers, stall=False):
+def _charge(e, t, p_in, leak, dt, cap, v_stop, t_stop, harvested, consumed, stall=False):
     """Euler-step the stored energy e from time t at harvest p_in under leak
     until the voltage reaches v_stop or a step would start at t_stop or later,
-    taking at least one step.  Returns (e, v, t, ledgers), the ledgers
-    [harvested, consumed] or [] summed.  With stall, t is inf when a step
-    leaves the energy unchanged (every later step repeats it) or STALL_STEPS
-    steps in a row gain nothing.  Where the leakage is flat, _coast takes
-    the steps that gain and end below v_stop."""
-    track = bool(ledgers)
-    harvested, consumed = ledgers if track else (0.0, 0.0)
+    taking at least one step.  Returns (e, v, t, harvested, consumed), the two
+    ledgers summed.  With stall, t is inf when a step leaves the energy
+    unchanged (every later step repeats it) or STALL_STEPS steps in a row gain
+    nothing.  Where the leakage is flat, _coast takes the steps that gain and
+    end below v_stop."""
     euler, sqrt, inf = euler_step, math.sqrt, math.inf
     v = sqrt(2.0 * e / cap)  # as Capacitor.v_volts
     lo = hi = math.nan  # the knot segment of v, looked up again when v leaves it
@@ -332,11 +335,9 @@ def _charge(e, t, p_in, leak, dt, cap, v_stop, t_stop, ledgers, stall=False):
         p_out = _segment_power(v, lo, p, slope, y)
         if hi == inf:
             e0 = e
-            e, v, t, *ledgers = _coast(
-                e, t, p_in, p_out, dt, cap, v_stop, t_stop, *([harvested, consumed] if track else ())
+            e, v, t, harvested, consumed = _coast(
+                e, t, p_in, p_out, dt, cap, v_stop, t_stop, harvested, consumed
             )
-            if track:
-                harvested, consumed = ledgers
             if e != e0:
                 stalled = 0
             if not t < t_stop:
@@ -345,7 +346,7 @@ def _charge(e, t, p_in, leak, dt, cap, v_stop, t_stop, ledgers, stall=False):
         if stall:
             stalled = stalled + 1 if e_next <= e else 0
             if e_next == e or stalled >= STALL_STEPS:
-                return e, v, inf, []
+                return e, v, inf, harvested, consumed
         e = e_next
         v = sqrt(2.0 * e / cap)
         t += dt
@@ -353,7 +354,7 @@ def _charge(e, t, p_in, leak, dt, cap, v_stop, t_stop, ledgers, stall=False):
         consumed += used
         if v >= v_stop:
             break
-    return e, v, t, [harvested, consumed] if track else []
+    return e, v, t, harvested, consumed
 
 
 def time_to_voltage(
@@ -376,7 +377,7 @@ def time_to_voltage(
         return 0.0
     p_in = harvester.harvested_power_w(pr_dbm)
     return _charge(
-        c.energy_j, 0.0, p_in, leakage, dt_s, c.capacitance_f, V_MIN, math.inf, [], stall=True
+        c.energy_j, 0.0, p_in, leakage, dt_s, c.capacitance_f, V_MIN, math.inf, 0.0, 0.0, stall=True
     )[2]
 
 
@@ -476,8 +477,8 @@ def run_active_fsm(
     # e is the stored energy and v = sqrt(2e/C) its voltage, as Capacitor.v_volts
     while t < duration_s:
         if state != TRANSMITTING:
-            e, v, t, (harvested, consumed) = _charge(
-                e, t, p_in, leak, dt, cap, v_up, duration_s, [harvested, consumed]
+            e, v, t, harvested, consumed = _charge(
+                e, t, p_in, leak, dt, cap, v_up, duration_s, harvested, consumed
             )
             if v < v_up:
                 break  # the run ended first
