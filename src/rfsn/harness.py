@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import queue
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -29,11 +33,12 @@ TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 # size is part of the seeded stream.
 ENGINE_BATCH = 4096
 
-# Bytes of standard normals BerEngine.run draws and decides at once, which
-# bounds its memory: a chunk goes in row blocks of this size.  Sequential
-# draws from one generator give the stream of one draw, so the block size
-# changes no draw; BLAS may round the colouring of a block of a few rows
-# differently in the last bit.
+# Bytes of one row block of standard normals in BerEngine.run: a chunk is
+# drawn and decided in blocks of this size, into one reused buffer (two for
+# the complex template, which draws ahead), which bound its memory.
+# Sequential draws from one generator give the stream of one draw, so the
+# block size changes no draw; BLAS may round the colouring of a real
+# template's block of a few rows differently in the last bit.
 ENGINE_BLOCK_BYTES = 1 << 20
 
 # Composite-gain bracket (dB) that calibrate_composite_gain falls back to
@@ -287,12 +292,14 @@ class BerEngine:
         """Turn each row z (a column vector) into scale * L z, in place."""
         a, u_hat, g = self._noise_factor
         z *= scale * a
-        z -= (z @ (g * u_hat.conj()))[:, None] * u_hat
+        # einsum's own loop, not a BLAS zgemv: a threaded BLAS call leaves its
+        # worker spinning on the core that draws the next block (see run)
+        z -= np.einsum("ij,j->i", z, g * u_hat.conj())[:, None] * u_hat
         return z
 
     @cached_property
     def _real_noise_factor(self) -> np.ndarray:
-        """L^T of the bin-noise factor of unit-variance real white noise.
+        """L^T = L, the symmetric bin-noise factor of unit-variance real white noise.
 
         The bins y = D P x of real white x have covariance C = E[y y^H] =
         2M I - u u^H / M, as for complex noise, and pseudo-covariance
@@ -300,8 +307,13 @@ class BerEngine:
         (D D^T)[k, l] = G[k+l] + 2 G[k+l-n] + G[k+l-2n] (indices mod M, G the
         M-point FFT of the squared conjugate chirp).  With (Re, Im) interleaved
         the stacked covariance K holds Re(C + Q)/2, Re(C - Q)/2, Im(C + Q)/2
-        and -Im(C - Q)/2.  K is singular (rank 234 of 256 at sf 7), so
-        L = V sqrt(w) comes from eigh, not Cholesky; L L^T = K.
+        and -Im(C - Q)/2.  K is singular (rank 234 of 256 at sf 7), so L
+        comes from eigh, not Cholesky: L = V sqrt(w) V^T, the unique symmetric
+        PSD root, with L L^T = K.  V alone is not unique where eigenvalues
+        repeat, and LAPACK picks that basis differently with the number of
+        BLAS threads; the root does not depend on it.  Eigenvalues within
+        rounding of 0 count as 0, so the rounding noise of their eigenvectors
+        does not reach L either.
         """
         p = self.p
         m, n = p.samples_per_symbol, p.n_bins
@@ -316,8 +328,8 @@ class BerEngine:
         k[1::2, 0::2] = 0.5 * (c + q).imag  # E[Im y Re y^T]
         k[0::2, 1::2] = -0.5 * (c - q).imag  # E[Re y Im y^T]
         w, v = np.linalg.eigh(k)
-        v *= np.sqrt(np.clip(w, 0.0, None))
-        return v.T
+        tol = len(w) * np.finfo(float).eps * w[-1]
+        return (v * np.sqrt(np.where(w > tol, w, 0.0))) @ v.T
 
     def _bin_noise(self, z: np.ndarray, var: float) -> np.ndarray:
         """Decision-bin noise, one row per row of the (nb, 2n) standard normals z
@@ -334,6 +346,28 @@ class BerEngine:
         peak = np.abs(self.template_bins[s, s]) ** 2
         return float(np.mean(peak / (m * np.sum(np.abs(self.templates) ** 2, axis=1))))
 
+    def _noise_blocks(self, streams, sent: np.ndarray, buffers: list[np.ndarray]):
+        """Draw a run's symbols into sent and yield (b0, b1, z) per row block.
+
+        Chunk c of ENGINE_BATCH symbols draws its symbols from streams[c],
+        then the standard normals of each block of as many rows as a buffer
+        holds; z holds those of symbols [b0, b1).  The blocks take the
+        buffers in turn, so the caller must be done with a block before it
+        asks for the one that reuses its buffer.
+        """
+        block = len(buffers[0])
+        cycle = itertools.cycle(buffers)
+        for c, stream in enumerate(streams):
+            start = c * ENGINE_BATCH
+            stop = min(start + ENGINE_BATCH, len(sent))
+            rng = np.random.default_rng(stream)
+            sent[start:stop] = rng.integers(0, self.p.n_bins, size=stop - start)
+            for b0 in range(start, stop, block):
+                b1 = min(b0 + block, stop)
+                z = next(cycle)[: b1 - b0]
+                rng.standard_normal(out=z)
+                yield b0, b1, z
+
     def run(
         self,
         ps_w: float,
@@ -348,7 +382,12 @@ class BerEngine:
         Chunk c of ENGINE_BATCH symbols draws its symbols, then its noise,
         from child c of SeedSequence(seed); burst arrivals over the whole run
         come from one more child, after the chunks'.  The noise is drawn and
-        decided in row blocks of at most ENGINE_BLOCK_BYTES.
+        decided in row blocks of at most ENGINE_BLOCK_BYTES.  The complex
+        template draws each block on a worker thread while this one decides
+        the block before (_drawn_ahead): the draw is most of its time, and
+        its colouring calls no BLAS.  A real template's colouring is a
+        matrix product that BLAS already spreads over the cores, so it draws
+        inline.  Either way the draws are the same.
         """
         p = self.p
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
@@ -360,23 +399,63 @@ class BerEngine:
             arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(streams[-1]))
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
-        block = max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins))  # 2n float64 normals a row
         sent = np.empty(n_symbols, dtype=np.int64)
         detected = np.empty(n_symbols, dtype=np.int64)
-        for c in range(n_chunks):
-            start = c * ENGINE_BATCH
-            stop = min(start + ENGINE_BATCH, n_symbols)
-            rng = np.random.default_rng(streams[c])
-            sent[start:stop] = rng.integers(0, p.n_bins, size=stop - start)
-            for b0 in range(start, stop, block):
-                b1 = min(b0 + block, stop)
-                stats = self._bin_noise(rng.standard_normal((b1 - b0, 2 * p.n_bins)), var)
+        # a buffer of one row block (2n float64 normals a row), two when a
+        # worker draws ahead.  They are made here: what a worker thread
+        # allocates comes from a malloc arena of its own (~2 MB more peak RSS).
+        ahead = np.iscomplexobj(self.templates)
+        block = min(max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins)), n_symbols)
+        buffers = [np.empty((block, 2 * p.n_bins)) for _ in range(1 + ahead)]
+        blocks = self._noise_blocks(streams[:n_chunks], sent, buffers)
+        if ahead:
+            blocks = _drawn_ahead(blocks)
+        with contextlib.closing(blocks):  # stops the worker even when a block raises
+            for b0, b1, z in blocks:
+                stats = self._bin_noise(z, var)
                 stats += table[sent[b0:b1]]
                 if arrivals.size:
                     ks, rows = channel._burst_rows(arrivals, p.samples_per_symbol, p.fs_hz, amp, b0, b1)
                     stats[ks - b0] += rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
                 detected[b0:b1] = np.argmax(np.abs(stats), axis=1)
         return rxdsp.score(sent, detected, p.sf)
+
+
+def _drawn_ahead(items):
+    """Yield the items of the iterator items, each made on a worker thread
+    while the caller works on the one before.
+
+    The worker is asked for item i + 1 only when the caller asks for item i,
+    so the caller is done with item i - 1 before item i + 1 is made.  The
+    worker runs only next(items), which must print nothing and call no
+    public entry point: perfbench's tracer keeps one span stack for all
+    threads.  An exception there is raised here; closing this generator
+    stops the worker and joins it.
+    """
+    asks, ready = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def work():
+        while asks.get():
+            try:
+                ready.put((next(items, None), None))
+            except BaseException as exc:  # raised again by the caller, below
+                ready.put((None, exc))
+
+    worker = threading.Thread(target=work, name="rfsn-draw-ahead", daemon=True)
+    worker.start()
+    try:
+        asks.put(True)
+        while True:
+            item, exc = ready.get()
+            if exc is not None:
+                raise exc
+            if item is None:
+                return
+            asks.put(True)
+            yield item
+    finally:
+        asks.put(False)
+        worker.join()
 
 
 def _engine_params(cfg: ExperimentConfig, fosc_hz: float | None = None) -> chirp.ChirpParams:

@@ -7,6 +7,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -288,3 +289,38 @@ def test_fuzz_cli_exits_0_2_or_3(argv, cfg_text):
             code = exc.code
     assert code in (0, 2, 3)
     assert "Traceback" not in out.getvalue()
+
+
+# Run sizes for the Monte-Carlo subcommands: small counts, with row blocks
+# small enough that they cross block and chunk edges, and malformed counts.
+_run_sizes = st.one_of(
+    st.integers(1, 1100).map(str),
+    st.sampled_from(["0", "-1", "-4096", "1.5", "1e3", "nan", "", "x"]),
+)
+
+
+@given(
+    st.sampled_from(["ber-sweep", "calibrate"]),
+    st.sampled_from(harness.TEMPLATE_KINDS),
+    st.booleans(),
+    _run_sizes,
+    _run_sizes,
+    st.sampled_from([1, 7, 512, 4096]),
+)
+@example("ber-sweep", "complex", True, "1", "1", 1)
+@example("calibrate", "complex", False, "1100", "1100", 7)
+@example("ber-sweep", "square-quantized", True, "0", "1", 512)
+@settings(max_examples=60, deadline=None)
+def test_fuzz_monte_carlo_cli_on_tiny_runs_exits_0_2_or_3(command, kind, bursts, n, n_cal, rows):
+    text = (f"sf = 5\ntemplate = {kind}\nbursts_enabled = {bursts}\n"
+            f"n_symbols = {n}\nn_symbols_calibration = {n_cal}\n")
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out), \
+            mock.patch.object(harness, "ENGINE_BLOCK_BYTES", rows * 16 * 32):
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text(text)
+        code = cli.main([command, "--config", str(cfg)])
+    assert code in (0, 2, 3), out.getvalue()
+    assert "Traceback" not in out.getvalue()
+    assert code != 0 or (n.isdigit() and n_cal.isdigit() and min(int(n), int(n_cal)) >= 1)
