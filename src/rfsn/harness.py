@@ -434,7 +434,7 @@ def _drawn_ahead(items):
 
     The caller waits for an item in 0.1 ms slices, not in one sleep.  On a
     2-vCPU VM, a caller that slept through about half of each block ran the
-    code after the run up to 40% slower for tens of ms (perfbench's set-up
+    code after the run 40-60% slower for tens of ms (perfbench's set-up
     right after an mc_bursts pass); waking every 0.1 ms kept it at speed.
     """
     asks, ready = queue.SimpleQueue(), queue.SimpleQueue()

@@ -531,8 +531,7 @@ def test_engine_run_draws_the_complex_blocks_on_a_worker_alone(monkeypatch):
 
         monkeypatch.setattr(owner, attr, call)
 
-    for owner, attr in [(rxdsp, "dechirp_bins"), (channel, "_burst_rows"),
-                        (harness.BerEngine, "_bin_noise"), (harness.BerEngine, "_noise_blocks")]:
+    for owner, attr in [(rxdsp, "dechirp_bins"), (channel, "_burst_rows"), (harness.BerEngine, "_bin_noise")]:
         record(owner, attr)
     blocks = harness.BerEngine._noise_blocks
 

@@ -291,8 +291,8 @@ def test_fuzz_cli_exits_0_2_or_3(argv, cfg_text):
     assert "Traceback" not in out.getvalue()
 
 
-# Run sizes for the Monte-Carlo subcommands: small counts, with row blocks
-# small enough that they cross block and chunk edges, and malformed counts.
+# Run sizes for the Monte-Carlo subcommands: small counts, which the drawn
+# row blocks of 1-4096 rows split at block edges, and malformed counts.
 _run_sizes = st.one_of(
     st.integers(1, 1100).map(str),
     st.sampled_from(["0", "-1", "-4096", "1.5", "1e3", "nan", "", "x"]),
