@@ -75,8 +75,10 @@ def _parse_symbols(text: str) -> list[int]:
         raise ConfigurationError(f"bad symbol list {text!r}: {exc}") from exc
 
 
-def _load_waveform(path: str, fs_hz: float) -> Waveform:
+def _load_waveform(path: str, fs_hz: float | None) -> Waveform:
     if path.endswith(".csv"):
+        if fs_hz is None:
+            raise ConfigurationError(f"{path}: a .csv waveform carries no sample rate; give --fs")
         return Waveform.from_csv(path, fs_hz=fs_hz, kind="analog")
     return Waveform.load(path)
 
@@ -103,9 +105,7 @@ def cmd_params(args) -> None:
 def cmd_modulate(args) -> None:
     p = chirp.derive_params(args.sf, args.fosc, args.fs)
     symbols = _parse_symbols(args.symbols)
-    w = chirp.modulate_ideal(symbols, p)
-    if args.quantize:
-        w = chirp.quantize_toggles(w, p.fosc_hz)
+    w = (chirp.modulate_quantized if args.quantize else chirp.modulate_ideal)(symbols, p)
     if not args.out:
         raise ConfigurationError("modulate requires --out (waveform .csv or .bin)")
     if args.out.endswith(".csv"):
@@ -128,7 +128,7 @@ def cmd_demodulate(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    w = _load_waveform(args.infile, args.fs or 0.0)
+    w = _load_waveform(args.infile, args.fs)
     ps = chirp.spectrum(w)
     order = np.argsort(ps.freqs_hz)
     _write_text(

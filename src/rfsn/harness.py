@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import itertools
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -430,40 +429,24 @@ def _drawn_ahead(items):
     worker runs only next(items), which must print nothing and call no
     public entry point: perfbench's tracer keeps one span stack for all
     threads.  An exception there is raised here; closing this generator
-    stops the worker and joins it.
+    shuts its one-thread executor down, which waits for the pending draw.
 
     The caller waits for an item in 0.1 ms slices, not in one sleep.  On a
     2-vCPU VM, a caller that slept through about half of each block ran the
     code after the run 40-60% slower for tens of ms (perfbench's set-up
     right after an mc_bursts pass); waking every 0.1 ms kept it at speed.
     """
-    asks, ready = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def work():
-        while asks.get():
-            try:
-                ready.put((next(items, None), None))
-            except BaseException as exc:  # raised again by the caller, below
-                ready.put((None, exc))
-
-    worker = threading.Thread(target=work, name="rfsn-draw-ahead", daemon=True)
-    worker.start()
-    try:
-        asks.put(True)
+    with concurrent.futures.ThreadPoolExecutor(1, "rfsn-draw-ahead") as worker:
+        future = worker.submit(next, items, None)
         while True:
             try:
-                item, exc = ready.get(timeout=1e-4)
-            except queue.Empty:
+                item = future.result(timeout=1e-4)
+            except concurrent.futures.TimeoutError:  # not the builtin before 3.11
                 continue
-            if exc is not None:
-                raise exc
             if item is None:
                 return
-            asks.put(True)
+            future = worker.submit(next, items, None)
             yield item
-    finally:
-        asks.put(False)
-        worker.join()
 
 
 def _engine_params(cfg: ExperimentConfig, fosc_hz: float | None = None) -> chirp.ChirpParams:

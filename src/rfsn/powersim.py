@@ -455,7 +455,8 @@ def run_active_fsm(
     bursts (packets sent back-to-back while the budget allows dropping no
     lower than fsm.V_SLEEP) with recharge sleeps up to fsm.V_WAKE.  Charge and
     sleep steps last FSM_DT_S and run in _charge, packet steps
-    fsm.PACKET_TIME_S.
+    fsm.PACKET_TIME_S.  A run that ends inside a transmit burst ends with the
+    last packet that fits before duration_s.
     """
     p_in = h.harvested_power_w(pr_dbm)
     pin_tx = p_in if harvest_while_transmitting else 0.0
@@ -499,7 +500,9 @@ def run_active_fsm(
             continue
         p_out = leak_w(v)
         drain = p_out * pt + e_packet
-        if e + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
+        if e + pin_tx * pt - drain >= e_sleep:
+            if t + pt > duration_s:
+                break  # the budget allows the packet, the run's end does not
             p_step, p_out, step, event = pin_tx, drain / pt, pt, "packet"
             trace.packets_sent += 1
         else:

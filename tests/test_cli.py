@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfsn import harness
+from rfsn import chirp, harness
 from rfsn.cli import main
 from rfsn.waveform import Waveform
 
@@ -46,6 +46,22 @@ def test_modulate_demodulate_roundtrip(tmp_path, capsys):
     assert code == 0
     detected = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
     assert detected == [3, 17, 90]
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+@pytest.mark.parametrize("sf, fosc", [(5, 32768.0), (7, 1e6), (9, 4e6)])
+def test_modulate_quantize_writes_the_bytes_of_modulate_quantized(sf, fosc, suffix, tmp_path, capsys):
+    symbols = [0, 3, (1 << sf) - 1, 17]
+    got, want = tmp_path / f"got{suffix}", tmp_path / f"want{suffix}"
+    code, _ = run_cli(capsys, "modulate", "--sf", str(sf), "--fosc", str(fosc), "--quantize",
+                      "--symbols", ",".join(map(str, symbols)), "--out", str(got))
+    assert code == 0
+    w = chirp.modulate_quantized(symbols, chirp.derive_params(sf, fosc))
+    if suffix == ".csv":
+        w.to_csv(str(want))
+    else:
+        w.save(str(want))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_spectrum_csv(tmp_path, capsys):
@@ -92,6 +108,16 @@ def test_charge_sweep_reports_never(tmp_path, capsys):
     code, out = run_cli(capsys, "charge-sweep", "--config", str(cfg))
     assert code == 0
     assert "never" in out
+
+
+def test_spectrum_of_a_csv_waveform_without_fs_exits_2_naming_the_flag(tmp_path, capsys):
+    wav = tmp_path / "w.csv"
+    run_cli(capsys, "modulate", "--sf", "5", "--fosc", "32768", "--symbols", "8", "--out", str(wav))
+    code = main(["spectrum", "--in", str(wav)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and "--fs" in err
+    assert "Traceback" not in err
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

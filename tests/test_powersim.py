@@ -352,7 +352,9 @@ def _ref_run_active_fsm(fsm, c, pr_dbm, h, leak, duration_s, dt_s, harvest_while
             pin_tx = p_in if harvest_while_transmitting else 0.0
             pt = fsm.PACKET_TIME_S
             drain = _ref_power_w(leak, c.v_volts) * pt + fsm.E_PACKET_J
-            if c.energy_j + pin_tx * pt - drain >= e_sleep and t + pt <= duration_s:
+            if c.energy_j + pin_tx * pt - drain >= e_sleep:
+                if t + pt > duration_s:
+                    break  # the run ends inside the burst: no sleep is logged
                 c = step(c, pin_tx, drain / pt, pt)
                 t += pt
                 trace.packets_sent += 1
@@ -536,11 +538,43 @@ def test_run_active_fsm_bit_exact_when_the_run_ends_on_an_edge(harvest_tx):
     # the run ends on the charge step that crosses V_START: the boot is logged
     got = _assert_fsm_matches_oracle(1e-3, 10.0, harvest_tx, t_boot)
     assert [kind for _, kind, _ in got.events] == ["start", "boot"]
-    # the run ends half a packet into a transmit burst: that packet is not sent
+    # the run ends half a packet into a transmit burst: that packet is not
+    # sent, and no sleep the budget did not cause is logged after the run
     t_wake = next(t for t, kind, _ in full.events if kind == "wake")
     pt = powersim.ActiveNodeFSM.PACKET_TIME_S
     got = _assert_fsm_matches_oracle(1e-3, 10.0, harvest_tx, t_wake + 2.5 * pt)
-    assert [kind for _, kind, _ in got.events][-4:] == ["wake", "packet", "packet", "sleep"]
+    assert [kind for _, kind, _ in got.events][-3:] == ["wake", "packet", "packet"]
+    assert got.events[-1][0] <= t_wake + 2.5 * pt
+
+
+@pytest.mark.parametrize("pr_dbm", [0.0, 5.0, 10.0])
+@pytest.mark.parametrize("harvest_tx", [True, False])
+def test_run_active_fsm_cut_inside_a_burst_is_a_prefix_of_a_longer_run(pr_dbm, harvest_tx):
+    def events(duration_s):
+        return powersim.run_active_fsm(
+            powersim.ActiveNodeFSM(),
+            powersim.Capacitor(1e-3),
+            pr_dbm,
+            powersim.HarvesterModel.default_active(),
+            powersim.LeakageCurve.default_with_startup(),
+            duration_s,
+            harvest_while_transmitting=harvest_tx,
+        ).events
+
+    full = events(30.0)
+    kinds = [kind for _, kind, _ in full]
+    # (wake time, last packet time) of every transmit burst the long run completes
+    bursts = []
+    for i, kind in enumerate(kinds):
+        if kind == "wake" and "sleep" in kinds[i:]:
+            bursts.append((full[i][0], full[kinds.index("sleep", i) - 1][0]))
+    assert len(bursts) >= 4
+    rng = np.random.default_rng(round(pr_dbm) * 2 + harvest_tx)
+    for k in rng.choice(len(bursts), size=min(len(bursts), 20), replace=False):
+        duration_s = rng.uniform(*bursts[k])
+        got = events(duration_s)
+        assert got == full[: len(got)], duration_s
+        assert got[-1][0] <= duration_s
 
 
 @pytest.mark.parametrize(
