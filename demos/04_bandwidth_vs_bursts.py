@@ -29,8 +29,7 @@ print("burst model: %.0f ms every %.1f s, amplitude x%.0f"
 print(f"\n{'bw_kHz':>7} {'ds_ms':>7} {'closed_form_es':>14} {'sim_ser':>9} {'sim_ber':>9}")
 rows = harness.run_ber_sweep(cfg)
 for row in rows:
-    p = chirp.ChirpParams(sf=cfg.sf, bw_hz=row.axis_value,
-                          fosc_hz=8 * row.axis_value, fs_hz=8 * row.axis_value)
+    p = chirp.derive_params(cfg.sf, chirp.MIN_CLOCKS_PER_PERIOD * row.axis_value)
     print(f"{row.axis_value / 1e3:>7.1f} {p.ds_s * 1e3:>7.2f} "
           f"{row.interference_es:>14.4f} {row.ser:>9.4f} {row.ber:>9.4f}")
 

@@ -1,9 +1,9 @@
 """Physical-layer and energy-budget simulator for concrete-embedded backscatter nodes."""
 
 from .channel import (
-    IncidentPowerTable,
     NoiseModel,
     WBurstModel,
+    incident_power_dbm,
     interference_symbol_error_rate,
     permittivity_from_shift,
 )

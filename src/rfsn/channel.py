@@ -13,67 +13,56 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def _load_table_rows() -> list[tuple[float, float, float]]:
-    path = resources.files("rfsn.data").joinpath("incident_power.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            (float(r["eirp_dbm"]), float(r["depth_cm"]), float(r["pr_dbm"])) for r in reader
-        ]
-
-
-@dataclass(frozen=True)
-class IncidentPowerTable:
-    """Measured incident power (dBm) at the embedded node vs EIRP and burial depth.
+@cache
+def _power_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eirp_dbm, depth_cm, pr_dbm) of the measured incident-power table,
+    pr_dbm of shape (len(eirp), len(depth)); read on first use, read-only.
 
     The grid is the 6x4 measurement campaign: EIRP levels from 9.7 to 36 dBm,
     depths 3.5 to 13.5 cm.  Power grows with EIRP at every depth; it is *not*
     monotone in depth (the deepest sensor sits near a reflective boundary), so
     only the EIRP direction is validated.
     """
+    path = resources.files("rfsn.data").joinpath("incident_power.csv")
+    with path.open("r", encoding="utf-8") as fh:
+        rows = [
+            (float(r["eirp_dbm"]), float(r["depth_cm"]), float(r["pr_dbm"]))
+            for r in csv.DictReader(fh)
+        ]
+    eirps = sorted({r[0] for r in rows})
+    depths = sorted({r[1] for r in rows})
+    grid = np.full((len(eirps), len(depths)), np.nan)
+    for e, d, p in rows:
+        grid[eirps.index(e), depths.index(d)] = p
+    if np.isnan(grid).any():
+        raise ConfigurationError("incident power grid has missing cells")
+    if np.any(np.diff(grid, axis=0) <= 0):
+        raise ConfigurationError("incident power must increase with EIRP at every depth")
+    arrays = (np.array(eirps), np.array(depths), grid)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    eirp_dbm: np.ndarray
-    depth_cm: np.ndarray
-    pr_dbm: np.ndarray  # shape (len(eirp), len(depth))
 
-    @classmethod
-    @cache
-    def default(cls) -> "IncidentPowerTable":
-        """The measured table, read once per process and shared (read-only arrays)."""
-        rows = _load_table_rows()
-        eirps = sorted({r[0] for r in rows})
-        depths = sorted({r[1] for r in rows})
-        grid = np.full((len(eirps), len(depths)), np.nan)
-        for e, d, p in rows:
-            grid[eirps.index(e), depths.index(d)] = p
-        if np.isnan(grid).any():
-            raise ConfigurationError("incident power grid has missing cells")
-        if np.any(np.diff(grid, axis=0) <= 0):
-            raise ConfigurationError("incident power must increase with EIRP at every depth")
-        table = cls(np.array(eirps), np.array(depths), grid)
-        for a in (table.eirp_dbm, table.depth_cm, table.pr_dbm):
-            a.flags.writeable = False
-        return table
-
-    def incident_power_dbm(self, eirp_dbm: float, depth_cm: float) -> float:
-        """Bilinear interpolation on the measurement grid; no extrapolation."""
-        e, d = self.eirp_dbm, self.depth_cm
-        if not (e[0] <= eirp_dbm <= e[-1]) or not (d[0] <= depth_cm <= d[-1]):
-            raise ConfigurationError(
-                f"({eirp_dbm} dBm, {depth_cm} cm) outside the measured grid "
-                f"[{e[0]}, {e[-1]}] dBm x [{d[0]}, {d[-1]}] cm"
-            )
-        i = min(int(np.searchsorted(e, eirp_dbm, side="right")) - 1, len(e) - 2)
-        j = min(int(np.searchsorted(d, depth_cm, side="right")) - 1, len(d) - 2)
-        u = (eirp_dbm - e[i]) / (e[i + 1] - e[i])
-        v = (depth_cm - d[j]) / (d[j + 1] - d[j])
-        z = self.pr_dbm
-        return float(
-            (1 - u) * (1 - v) * z[i, j]
-            + u * (1 - v) * z[i + 1, j]
-            + (1 - u) * v * z[i, j + 1]
-            + u * v * z[i + 1, j + 1]
+def incident_power_dbm(eirp_dbm: float, depth_cm: float) -> float:
+    """Measured incident power (dBm) at the embedded node, bilinear on the
+    measurement grid in EIRP and burial depth; no extrapolation."""
+    e, d, z = _power_grid()
+    if not (e[0] <= eirp_dbm <= e[-1]) or not (d[0] <= depth_cm <= d[-1]):
+        raise ConfigurationError(
+            f"({eirp_dbm} dBm, {depth_cm} cm) outside the measured grid "
+            f"[{e[0]}, {e[-1]}] dBm x [{d[0]}, {d[-1]}] cm"
         )
+    i = min(int(np.searchsorted(e, eirp_dbm, side="right")) - 1, len(e) - 2)
+    j = min(int(np.searchsorted(d, depth_cm, side="right")) - 1, len(d) - 2)
+    u = (eirp_dbm - e[i]) / (e[i + 1] - e[i])
+    v = (depth_cm - d[j]) / (d[j + 1] - d[j])
+    return float(
+        (1 - u) * (1 - v) * z[i, j]
+        + u * (1 - v) * z[i + 1, j]
+        + (1 - u) * v * z[i, j + 1]
+        + u * v * z[i + 1, j + 1]
+    )
 
 
 def permittivity_from_shift(f_air_hz: float, f_embedded_hz: float) -> float:

@@ -29,30 +29,31 @@ DEFAULT_OVERSAMPLING = 16  # fs = 16*bw unless told otherwise
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Square-chirp symbol parameters with derived duration and data rate."""
+    """Square-chirp symbol parameters with derived bandwidth, duration and data rate."""
 
     sf: int
-    bw_hz: float
     fosc_hz: float
     fs_hz: float
 
     def __post_init__(self) -> None:
+        if self.fosc_hz <= 0:
+            raise ConfigurationError(f"fosc_hz must be positive, got {self.fosc_hz}")
+        if self.fs_hz < self.fosc_hz:
+            raise ConfigurationError(
+                f"fs={float(self.fs_hz)} Hz cannot represent the toggle grid; "
+                f"need fs >= fosc = {float(self.fosc_hz)} Hz"
+            )
         if not SF_MIN <= self.sf <= SF_MAX:
             raise ConfigurationError(f"sf must lie in [{SF_MIN}, {SF_MAX}], got {self.sf}")
-        if not all(0 < f < np.inf for f in (self.bw_hz, self.fosc_hz, self.fs_hz)):
+        if not np.isfinite([self.fosc_hz, self.fs_hz]).all():
             raise ConfigurationError(
-                f"bw_hz, fosc_hz and fs_hz must all be positive and finite, got "
-                f"{self.bw_hz}, {self.fosc_hz} and {self.fs_hz}"
+                f"fosc_hz and fs_hz must be finite, got {self.fosc_hz} and {self.fs_hz}"
             )
-        if self.bw_hz > self.fosc_hz / MIN_CLOCKS_PER_PERIOD * (1 + 1e-12):
-            raise ConfigurationError(
-                f"bandwidth infeasible: bw={self.bw_hz} Hz exceeds fosc/8="
-                f"{self.fosc_hz / MIN_CLOCKS_PER_PERIOD} Hz"
-            )
-        if self.fs_hz < 8 * self.bw_hz * (1 - 1e-12):
-            raise ConfigurationError(
-                f"fs={self.fs_hz} Hz too low; need at least 8*bw = {8 * self.bw_hz} Hz"
-            )
+
+    @property
+    def bw_hz(self) -> float:
+        """Bandwidth fosc/8, set by the 8-clock minimum square-wave period."""
+        return self.fosc_hz / MIN_CLOCKS_PER_PERIOD
 
     @property
     def n_bins(self) -> int:
@@ -87,20 +88,10 @@ class ChirpParams:
 
 
 def derive_params(sf: int, fosc_hz: float, fs_hz: float | None = None) -> ChirpParams:
-    """Derive bandwidth, symbol duration and data rate from sf and the MCU clock.
-
-    bw = fosc/8 (the 8-clock minimum square-wave period); fs defaults to 16*bw.
-    """
-    if fosc_hz <= 0:
-        raise ConfigurationError(f"fosc_hz must be positive, got {fosc_hz}")
-    bw = fosc_hz / MIN_CLOCKS_PER_PERIOD
+    """Chirp params of sf and the MCU clock; fs defaults to 16*bw."""
     if fs_hz is None:
-        fs_hz = DEFAULT_OVERSAMPLING * bw
-    if fs_hz < fosc_hz:
-        raise ConfigurationError(
-            f"fs={fs_hz} Hz cannot represent the toggle grid; need fs >= fosc = {fosc_hz} Hz"
-        )
-    return ChirpParams(sf=sf, bw_hz=bw, fosc_hz=fosc_hz, fs_hz=fs_hz)
+        fs_hz = DEFAULT_OVERSAMPLING * (fosc_hz / MIN_CLOCKS_PER_PERIOD)
+    return ChirpParams(sf=sf, fosc_hz=fosc_hz, fs_hz=fs_hz)
 
 
 def _check_symbol(symbol: int, p: ChirpParams) -> None:
@@ -293,7 +284,7 @@ def _symbol_envelopes(p: ChirpParams, quantized: bool) -> np.ndarray:
     for s, t in enumerate(np.split(rel, np.cumsum(counts)[:-1])):
         t = _drop_coincident_pairs(t, p.bw_hz)
         if quantized:
-            t = _snap_to_grid(t, CYCLES_PER_TOGGLE / p.fosc_hz)
+            t = _snap_to_grid(t, p.toggle_grid_s)
         # every toggle of a symbol from phase 0 lies after t = 0
         rows[s] = _render_from_toggles(t, 1, m, p.fs_hz)
     return rows
@@ -329,10 +320,6 @@ def modulate_quantized(symbols, p: ChirpParams) -> Waveform:
     The ideal envelope starts high (its first toggle lies after t = 0), so only
     its toggle instants are solved, then snapped and rendered.
     """
-    if p.fs_hz < p.fosc_hz * (1 - 1e-12):
-        raise ConfigurationError(
-            f"quantized synthesis needs fs >= fosc ({p.fs_hz} < {p.fosc_hz})"
-        )
     instants, n_samples = _ideal_toggles(symbols, p)
     return _snapped_envelope(instants, 1, n_samples, p.fs_hz, p.fosc_hz)
 

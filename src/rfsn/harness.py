@@ -15,15 +15,15 @@ import numpy as np
 from . import channel, chirp, powersim, rxdsp
 from .errors import CalibrationError, ConfigurationError
 
-# Sweep axis -> (cfg, table, value) -> (fosc_hz, pr_dbm) of that sweep point.
+# Sweep axis -> (cfg, value) -> (fosc_hz, pr_dbm) of that sweep point.
 SWEEP_AXES = {
-    "eirp_dbm": lambda cfg, table, v: (cfg.fosc_hz, table.incident_power_dbm(v, cfg.depth_cm)),
-    "depth_cm": lambda cfg, table, v: (cfg.fosc_hz, table.incident_power_dbm(cfg.eirp_dbm, v)),
-    "bandwidth_hz": lambda cfg, table, v: (
-        8.0 * v,
-        table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm),
+    "eirp_dbm": lambda cfg, v: (cfg.fosc_hz, channel.incident_power_dbm(v, cfg.depth_cm)),
+    "depth_cm": lambda cfg, v: (cfg.fosc_hz, channel.incident_power_dbm(cfg.eirp_dbm, v)),
+    "bandwidth_hz": lambda cfg, v: (
+        chirp.MIN_CLOCKS_PER_PERIOD * v,
+        channel.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm),
     ),
-    "pr_dbm": lambda cfg, table, v: (cfg.fosc_hz, v),
+    "pr_dbm": lambda cfg, v: (cfg.fosc_hz, v),
 }
 TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 
@@ -100,7 +100,6 @@ class ExperimentConfig:
                 problems.append(f"{f.name}={v!r} is not finite")
             elif f.type == "tuple[float, ...]" and not all(math.isfinite(x) for x in v):
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
-        table = channel.IncidentPowerTable.default()
 
         def check(build, key=""):
             """build(), or None with its problem noted under key unless already named."""
@@ -116,11 +115,11 @@ class ExperimentConfig:
         if base:
             clocks[base.fs_hz] = [f"fosc_hz={self.fosc_hz}"]
         check(lambda: powersim.Capacitor(self.capacitance_f), f"capacitance_f={self.capacitance_f}")
-        check(lambda: table.incident_power_dbm(self.eirp_dbm, self.depth_cm))
-        check(lambda: table.incident_power_dbm(self.anchor_eirp_dbm, self.depth_cm))
+        check(lambda: channel.incident_power_dbm(self.eirp_dbm, self.depth_cm))
+        check(lambda: channel.incident_power_dbm(self.anchor_eirp_dbm, self.depth_cm))
         point = SWEEP_AXES.get(self.sweep_axis)
         for v in self.sweep_values if point else ():
-            resolved = check(lambda: point(self, table, v))
+            resolved = check(lambda: point(self, v))
             if resolved:
                 key = f"{self.sweep_axis}={v}"
                 params = check(lambda: _engine_params(self, resolved[0]), key)
@@ -391,22 +390,24 @@ class BerEngine:
         p = self.p
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
         n_chunks = -(-n_symbols // ENGINE_BATCH)
-        streams = np.random.SeedSequence(seed).spawn(n_chunks + 1)
+        sent = np.empty(n_symbols, dtype=np.int64)
+        detected = np.empty(n_symbols, dtype=np.int64)
         arrivals = np.empty(0)
         if bursts:
             span_s = n_symbols * p.samples_per_symbol / p.fs_hz
-            arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(streams[-1]))
+            child = np.random.SeedSequence(seed, spawn_key=(n_chunks,))
+            arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(child))
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
-        sent = np.empty(n_symbols, dtype=np.int64)
-        detected = np.empty(n_symbols, dtype=np.int64)
         # a buffer of one row block (2n float64 normals a row), two when a
         # worker draws ahead.  They are made here: what a worker thread
         # allocates comes from a malloc arena of its own (~2 MB more peak RSS).
         ahead = np.iscomplexobj(self.templates)
         block = min(max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins)), n_symbols)
         buffers = [np.empty((block, 2 * p.n_bins)) for _ in range(1 + ahead)]
-        blocks = self._noise_blocks(streams[:n_chunks], sent, buffers)
+        # child c of SeedSequence(seed), made when chunk c starts
+        streams = (np.random.SeedSequence(seed, spawn_key=(c,)) for c in range(n_chunks))
+        blocks = self._noise_blocks(streams, sent, buffers)
         if ahead:
             blocks = _drawn_ahead(blocks)
         with contextlib.closing(blocks):  # stops the worker even when a block raises
@@ -480,12 +481,11 @@ class SweepRow:
 
 def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Monte-Carlo BER across the configured sweep axis, one seeded row per point."""
-    table = channel.IncidentPowerTable.default()
     point = SWEEP_AXES[cfg.sweep_axis]
     rows = []
     engines: dict[float, BerEngine] = {}
     for idx, value in enumerate(cfg.sweep_values):
-        fosc, pr = point(cfg, table, value)
+        fosc, pr = point(cfg, value)
         if fosc not in engines:
             engines[fosc] = BerEngine(_engine_params(cfg, fosc), cfg.template)
         eng = engines[fosc]
@@ -548,12 +548,11 @@ def run_charge_sweep(cfg: ExperimentConfig) -> list[ChargeRow]:
             "sweep_axis='bandwidth_hz' leaves the incident power unchanged, "
             "so it cannot drive a charge sweep"
         )
-    table = channel.IncidentPowerTable.default()
     point = SWEEP_AXES[cfg.sweep_axis]
     harvester, leakage = charge_models(cfg)
     rows = []
     for value in cfg.sweep_values:
-        _, pr = point(cfg, table, value)
+        _, pr = point(cfg, value)
         c = powersim.Capacitor(cfg.capacitance_f)
         t = powersim.time_to_voltage(c, pr, harvester, leakage)
         rows.append(
@@ -609,8 +608,7 @@ TABLE_CLOCKS_HZ = (32768.0, 1e6, 2e6, 4e6)
 
 def run_theory_report(cfg: ExperimentConfig) -> list[TheoryRow]:
     """Closed-form timing, rate, SNR, BER and burst-hit rate per oscillator clock."""
-    table = channel.IncidentPowerTable.default()
-    pr = table.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm)
+    pr = channel.incident_power_dbm(cfg.eirp_dbm, cfg.depth_cm)
     ps_w = channel.dbm_to_w(pr + cfg.composite_gain_db)
     rows = []
     for fosc in TABLE_CLOCKS_HZ:
@@ -649,7 +647,7 @@ def calibrate_composite_gain(cfg: ExperimentConfig) -> CalibrationResult:
     straddle the anchor.  Stops when the achieved BER sits inside the anchor's
     Wilson band or the bracket closes below 0.02 dB.
     """
-    pr = channel.IncidentPowerTable.default().incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
+    pr = channel.incident_power_dbm(cfg.anchor_eirp_dbm, cfg.depth_cm)
     eng = BerEngine(_engine_params(cfg), cfg.template)
     n = cfg.n_symbols_calibration
     # rxdsp.effective_snr inverted for the anchor's power, in dBm.  n0 gets its

@@ -371,7 +371,7 @@ def time_to_voltage(
     step that leaves the energy unchanged declares it at once: every later
     step repeats it, so that run is bound to come.
     """
-    if dt_s > 1e-3 or dt_s <= 0:
+    if not 0 < dt_s <= 1e-3:
         raise ConfigurationError("dt must lie in (0, 1e-3] s")
     if c.v_volts >= V_MIN:
         return 0.0
@@ -456,8 +456,10 @@ def run_active_fsm(
     lower than fsm.V_SLEEP) with recharge sleeps up to fsm.V_WAKE.  Charge and
     sleep steps last FSM_DT_S and run in _charge, packet steps
     fsm.PACKET_TIME_S.  A run that ends inside a transmit burst ends with the
-    last packet that fits before duration_s.
+    last packet that fits before duration_s, which must be finite and >= 0.
     """
+    if not 0 <= duration_s < math.inf:
+        raise ConfigurationError(f"duration_s must be finite and >= 0, got {duration_s}")
     p_in = h.harvested_power_w(pr_dbm)
     pin_tx = p_in if harvest_while_transmitting else 0.0
     pt, e_packet, e_boot = fsm.PACKET_TIME_S, fsm.E_PACKET_J, fsm.E_BOOT_J

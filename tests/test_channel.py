@@ -12,17 +12,15 @@ from rfsn.errors import ConfigurationError
 # ---------------------------------------------------------------- power table
 
 def test_table_measured_corners():
-    t = channel.IncidentPowerTable.default()
-    assert t.incident_power_dbm(23.6, 13.5) == pytest.approx(-7.3)
-    assert t.incident_power_dbm(36.0, 3.5) == pytest.approx(11.4)
+    assert channel.incident_power_dbm(23.6, 13.5) == pytest.approx(-7.3)
+    assert channel.incident_power_dbm(36.0, 3.5) == pytest.approx(11.4)
 
 
 def test_table_bilinear_interior_oracle():
-    t = channel.IncidentPowerTable.default()
     e0, e1 = 23.6, 30.7
     d0, d1 = 6.0, 10.0
     q = {
-        (e, d): t.incident_power_dbm(e, d)
+        (e, d): channel.incident_power_dbm(e, d)
         for e in (e0, e1)
         for d in (d0, d1)
     }
@@ -35,40 +33,30 @@ def test_table_bilinear_interior_oracle():
         + q[(e0, d1)] * (1 - fe) * fd
         + q[(e1, d1)] * fe * fd
     )
-    assert t.incident_power_dbm(e, d) == pytest.approx(want)
+    assert channel.incident_power_dbm(e, d) == pytest.approx(want)
 
 
 def test_table_refuses_extrapolation():
-    t = channel.IncidentPowerTable.default()
     with pytest.raises(ConfigurationError):
-        t.incident_power_dbm(40.0, 10.0)
+        channel.incident_power_dbm(40.0, 10.0)
     with pytest.raises(ConfigurationError):
-        t.incident_power_dbm(23.6, 1.0)
+        channel.incident_power_dbm(23.6, 1.0)
 
 
-def test_table_is_read_once_and_shared_read_only(monkeypatch):
-    reads = []
-
-    def counting_load():
-        reads.append(1)
-        return load()
-
-    load = channel._load_table_rows
-    monkeypatch.setattr(channel, "_load_table_rows", counting_load)
-    channel.IncidentPowerTable.default.cache_clear()
-    t = channel.IncidentPowerTable.default()
-    assert channel.IncidentPowerTable.default() is t
-    assert len(reads) == 1
-    for a in (t.eirp_dbm, t.depth_cm, t.pr_dbm):
+def test_table_is_read_once_and_shared_read_only():
+    channel._power_grid.cache_clear()
+    assert channel.incident_power_dbm(23.6, 13.5) == pytest.approx(-7.3)
+    assert channel.incident_power_dbm(36.0, 3.5) == pytest.approx(11.4)
+    assert channel._power_grid.cache_info().misses == 1  # the file was read once
+    for a in channel._power_grid():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
-    assert t.incident_power_dbm(23.6, 13.5) == pytest.approx(-7.3)
+    assert channel.incident_power_dbm(23.6, 13.5) == pytest.approx(-7.3)
 
 
 def test_table_monotone_in_eirp():
-    t = channel.IncidentPowerTable.default()
     for d in (3.5, 6.0, 10.0, 13.5):
-        col = [t.incident_power_dbm(e, d) for e in (9.7, 13.9, 17.8, 23.6, 30.7, 36.0)]
+        col = [channel.incident_power_dbm(e, d) for e in (9.7, 13.9, 17.8, 23.6, 30.7, 36.0)]
         assert all(b > a for a, b in zip(col, col[1:]))
 
 

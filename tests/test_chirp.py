@@ -42,14 +42,30 @@ def test_sf_bounds_rejected():
         chirp.derive_params(13, 32768)
 
 
-def test_bandwidth_above_clock_eighth_is_infeasible():
-    with pytest.raises(ConfigurationError, match="bandwidth infeasible"):
-        chirp.ChirpParams(7, 5000.0, 32768.0, 80000.0)
+def test_bandwidth_is_derived_from_the_clock():
+    p = chirp.ChirpParams(7, 1e6, 2e6)
+    assert p.bw_hz == 1e6 / 8 == 125e3
+    assert p == chirp.derive_params(7, 1e6)
 
 
 def test_sample_rate_below_minimum_rejected():
-    with pytest.raises(ConfigurationError):
-        chirp.ChirpParams(7, 4096.0, 32768.0, 8192.0)
+    # fs must reach the clock; fosc itself is the floor
+    with pytest.raises(ConfigurationError, match="cannot represent the toggle grid"):
+        chirp.ChirpParams(7, 32768.0, 8192.0)
+    with pytest.raises(ConfigurationError, match="cannot represent the toggle grid"):
+        chirp.ChirpParams(7, 32768.0, np.nextafter(32768.0, 0.0))
+    assert chirp.ChirpParams(7, 32768.0, 32768.0).samples_per_symbol == 8 * 128
+
+
+def test_fs_floor_message_is_the_same_from_params_and_derive_params():
+    with pytest.raises(ConfigurationError) as direct:
+        chirp.ChirpParams(7, 32768.0, 16384.0)
+    with pytest.raises(ConfigurationError) as derived:
+        chirp.derive_params(7, 32768, fs_hz=16384)
+    assert str(direct.value) == str(derived.value)
+    assert str(direct.value) == (
+        "fs=16384.0 Hz cannot represent the toggle grid; need fs >= fosc = 32768.0 Hz"
+    )
 
 
 def _instantaneous_frequency(symbol, t, p):

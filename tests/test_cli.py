@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,38 @@ def test_params_reports_derived_quantities(capsys):
     assert float(d["bw_hz"]) == 4096.0
     assert float(d["ds_s"]) == 0.03125
     assert float(d["rd_bps"]) == 224.0
+
+
+# `rfsn params --sf 7 --fosc F`, with fs_hz and samples_per_symbol filled in:
+# 2*F and 2048 by default, F and 1024 with `--fs F`
+PARAMS_CSV = """key,value
+sf,7
+bw_hz,{bw}
+fosc_hz,{fosc}
+fs_hz,{fs}
+ds_s,{ds}
+rd_bps,{rd}
+n_bins,128
+samples_per_symbol,{m}
+toggle_grid_s,{grid}
+"""
+PARAMS = {  # clock -> (bw, fosc, 2*fosc, ds, rd, grid) as printed
+    32768.0: ("4096.0", "32768.0", "65536.0", "0.03125", "224.0", "0.0001220703125"),
+    1e6: ("125000.0", "1000000.0", "2000000.0", "0.001024", "6835.9375", "4e-06"),
+    2e6: ("250000.0", "2000000.0", "4000000.0", "0.000512", "13671.875", "2e-06"),
+    4e6: ("500000.0", "4000000.0", "8000000.0", "0.000256", "27343.75", "1e-06"),
+}
+
+
+@pytest.mark.parametrize("with_fs", [False, True])
+@pytest.mark.parametrize("fosc", harness.TABLE_CLOCKS_HZ)
+def test_params_text_is_pinned(fosc, with_fs, capsys):
+    bw, fosc_out, fs2, ds, rd, grid = PARAMS[fosc]
+    fs, m = (fosc_out, 1024) if with_fs else (fs2, 2048)
+    flags = ("--fosc", repr(fosc), *(("--fs", repr(fosc)) if with_fs else ()))
+    code, out = run_cli(capsys, "params", "--sf", "7", *flags)
+    want = PARAMS_CSV.format(bw=bw, fosc=fosc_out, fs=fs, ds=ds, rd=rd, m=m, grid=grid)
+    assert (code, out) == (0, want)
 
 
 def test_modulate_demodulate_roundtrip(tmp_path, capsys):
@@ -365,3 +400,34 @@ def test_shipped_configs_keep_the_exit_contract(command, config, capsys):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+# Runs main under a 1 GiB address-space limit set in the child itself, so a
+# run that tries to hold the whole Monte-Carlo size fails there, not on the host.
+_LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rfsn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text",
+    [
+        ("ber-sweep", "n_symbols = 1000000000000\n"),
+        ("ber-sweep", "n_symbols = 1000000000000\nbursts_enabled = true\n"),
+        ("calibrate", "n_symbols_calibration = 1000000000000\n"),
+    ],
+    ids=["ber-sweep", "ber-sweep-bursts", "calibrate"],
+)
+def test_a_monte_carlo_size_too_large_for_memory_exits_3(command, cfg_text, tmp_path):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(cfg_text)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, command, "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: out of memory:") and proc.stderr.count("\n") == 1

@@ -710,15 +710,14 @@ def test_charge_sweep_passive_and_never():
 
 
 def test_charge_sweep_reads_values_along_the_sweep_axis():
-    table = channel.IncidentPowerTable.default()
     cfg = harness.load_config(CONFIGS / "eirp_ber_sweep.cfg")
     rows = harness.run_charge_sweep(cfg)
     assert [r.pr_dbm for r in rows] == [
-        table.incident_power_dbm(v, 13.5) for v in cfg.sweep_values
+        channel.incident_power_dbm(v, 13.5) for v in cfg.sweep_values
     ]
     cfg = dataclasses.replace(cfg, sweep_axis="depth_cm", sweep_values=[3.5, 13.5])
     assert [r.pr_dbm for r in harness.run_charge_sweep(cfg)] == [
-        table.incident_power_dbm(cfg.eirp_dbm, d) for d in (3.5, 13.5)
+        channel.incident_power_dbm(cfg.eirp_dbm, d) for d in (3.5, 13.5)
     ]
     cfg = harness.load_config(CONFIGS / "bandwidth_bursts.cfg")
     with pytest.raises(ConfigurationError, match="bandwidth_hz"):

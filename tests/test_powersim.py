@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +137,14 @@ def test_time_to_voltage_rejects_coarse_step():
         powersim.time_to_voltage(c, 0.0, h, leak, dt_s=0.5)
 
 
+def test_time_to_voltage_rejects_a_nan_step():
+    c = powersim.Capacitor(1e-3)
+    h = powersim.HarvesterModel.default_active()
+    leak = powersim.LeakageCurve.constant(1e-12)
+    with pytest.raises(ConfigurationError, match="dt must lie in"):
+        powersim.time_to_voltage(c, 0.0, h, leak, dt_s=math.nan)
+
+
 def test_min_startup_power_is_a_threshold():
     leak = powersim.LeakageCurve.default_without_startup()
     h = powersim.HarvesterModel.default_active()
@@ -170,6 +181,34 @@ def _run_default(pr_dbm=0.0, duration_s=60.0):
         powersim.LeakageCurve.default_with_startup(),
         duration_s=duration_s,
     )
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, -math.inf, -1.0])
+def test_fsm_rejects_a_duration_that_is_not_finite_and_non_negative(duration_s):
+    with pytest.raises(ConfigurationError, match="duration_s must be finite"):
+        _run_default(-20.0, duration_s)
+
+
+_INFINITE_FSM_RUN = """
+import math
+from rfsn import powersim
+from rfsn.errors import ConfigurationError
+try:
+    powersim.run_active_fsm(powersim.ActiveNodeFSM(), powersim.Capacitor(1e-3), -20.0,
+                            powersim.HarvesterModel.default_active(),
+                            powersim.LeakageCurve.default_with_startup(), math.inf)
+except ConfigurationError as exc:
+    print(exc)
+"""
+
+
+def test_fsm_rejects_an_infinite_duration_at_once():
+    # in a subprocess: a run at -20 dBm never charges, so an unchecked
+    # infinite duration would never return
+    src = str(Path(powersim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _INFINITE_FSM_RUN], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "duration_s must be finite and >= 0, got inf\n", proc.stderr
 
 
 def test_fsm_trace_energy_ledger_closes():
