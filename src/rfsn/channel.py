@@ -161,7 +161,11 @@ def _burst_rows(arrivals_s: np.ndarray, m: int, fs_hz: float, rms: float, k0: in
     """
     n_burst = max(1, int(round(WBurstModel.DURATION_S * fs_hz)))
     first = np.round(np.asarray(arrivals_s, dtype=np.float64) * fs_hz).astype(np.int64)
-    first = first[(first + n_burst > k0 * m) & (first < k1 * m)]
+    # the bursts that end after sample k0*m and start before sample k1*m
+    lo, hi = np.searchsorted(first, (k0 * m - n_burst + 1, k1 * m))
+    first = first[lo:hi]
+    if not len(first):
+        return np.empty(0, dtype=np.int64), np.zeros((0, m))
     a = np.maximum(first, k0 * m)  # each burst's first and one-past-last sample in range
     b = np.minimum(first + n_burst, k1 * m)
     ka, kb = a // m, (b - 1) // m

@@ -116,7 +116,7 @@ def cmd_modulate(args) -> None:
 
 def cmd_demodulate(args) -> None:
     p = chirp.derive_params(args.sf, args.fosc, args.fs)
-    w = _load_waveform(args.infile, p.fs_hz)
+    w = _load_waveform(args.infile, args.fs)
     detected = rxdsp.demodulate_stream(w, p)
     if args.format == "json":
         _write_text(json.dumps([int(s) for s in detected]) + "\n", args.out)

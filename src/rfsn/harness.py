@@ -344,14 +344,14 @@ class BerEngine:
         peak = np.abs(self.template_bins[s, s]) ** 2
         return float(np.mean(peak / (m * np.sum(np.abs(self.templates) ** 2, axis=1))))
 
-    def _noise_blocks(self, streams, sent: np.ndarray, buffers: list[np.ndarray]):
+    def _noise_blocks(self, streams, sent: np.ndarray, buffers: list[np.ndarray], scratch: tuple):
         """Draw a run's symbols into sent and yield (b0, b1, z) per row block.
 
         Chunk c of ENGINE_BATCH symbols draws its symbols from streams[c],
         then the standard normals of each block of as many rows as a buffer
-        holds; z holds those of symbols [b0, b1).  The blocks take the
-        buffers in turn, so the caller must be done with a block before it
-        asks for the one that reuses its buffer.
+        holds (_box_muller, through scratch); z holds those of symbols
+        [b0, b1).  The blocks take the buffers in turn, so the caller must be
+        done with a block before it asks for the one that reuses its buffer.
         """
         block = len(buffers[0])
         cycle = itertools.cycle(buffers)
@@ -363,7 +363,7 @@ class BerEngine:
             for b0 in range(start, stop, block):
                 b1 = min(b0 + block, stop)
                 z = next(cycle)[: b1 - b0]
-                rng.standard_normal(out=z)
+                _box_muller(rng, z, *scratch)
                 yield b0, b1, z
 
     def run(
@@ -382,32 +382,35 @@ class BerEngine:
         come from one more child, after the chunks'.  The noise is drawn and
         decided in row blocks of at most ENGINE_BLOCK_BYTES.  The complex
         template draws each block on a worker thread while this one decides
-        the block before (_drawn_ahead): the draw is most of its time, and
-        its colouring calls no BLAS.  A real template's colouring is a
-        matrix product that BLAS already spreads over the cores, so it draws
-        inline.  Either way the draws are the same.
+        the block before (_drawn_ahead): the draw costs more than the
+        decisions, and its colouring calls no BLAS.  A real template's
+        colouring is a matrix product that BLAS already spreads over the
+        cores, so it draws inline.  Either way the draws are the same.
         """
         p = self.p
+        m = p.samples_per_symbol
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
         n_chunks = -(-n_symbols // ENGINE_BATCH)
         sent = np.empty(n_symbols, dtype=np.int64)
         detected = np.empty(n_symbols, dtype=np.int64)
         arrivals = np.empty(0)
         if bursts:
-            span_s = n_symbols * p.samples_per_symbol / p.fs_hz
+            span_s = n_symbols * m / p.fs_hz
             child = np.random.SeedSequence(seed, spawn_key=(n_chunks,))
             arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(child))
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
         # a buffer of one row block (2n float64 normals a row), two when a
-        # worker draws ahead.  They are made here: what a worker thread
-        # allocates comes from a malloc arena of its own (~2 MB more peak RSS).
+        # worker draws ahead, and _box_muller's scratch for one block.  They
+        # are made here: what a worker thread allocates comes from a malloc
+        # arena of its own (~2 MB more peak RSS).
         ahead = np.iscomplexobj(self.templates)
         block = min(max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins)), n_symbols)
         buffers = [np.empty((block, 2 * p.n_bins)) for _ in range(1 + ahead)]
+        scratch = (np.empty((block, p.n_bins)), np.empty((block, 2 * p.n_bins), dtype=np.float32))
         # child c of SeedSequence(seed), made when chunk c starts
         streams = (np.random.SeedSequence(seed, spawn_key=(c,)) for c in range(n_chunks))
-        blocks = self._noise_blocks(streams, sent, buffers)
+        blocks = self._noise_blocks(streams, sent, buffers, scratch)
         if ahead:
             blocks = _drawn_ahead(blocks)
         with contextlib.closing(blocks):  # stops the worker even when a block raises
@@ -415,10 +418,35 @@ class BerEngine:
                 stats = self._bin_noise(z, var)
                 stats += table[sent[b0:b1]]
                 if arrivals.size:
-                    ks, rows = channel._burst_rows(arrivals, p.samples_per_symbol, p.fs_hz, amp, b0, b1)
-                    stats[ks - b0] += rxdsp.dechirp_bins(rows - rows.mean(axis=1, keepdims=True), p)
+                    ks, rows = channel._burst_rows(arrivals, m, p.fs_hz, amp, b0, b1)
+                    if len(ks):
+                        rows -= rows.mean(axis=1, keepdims=True)
+                        stats[ks - b0] += rxdsp.dechirp_bins(rows, p)
                 detected[b0:b1] = np.argmax(np.abs(stats), axis=1)
         return rxdsp.score(sent, detected, p.sf)
+
+
+def _box_muller(rng: np.random.Generator, z: np.ndarray, radius: np.ndarray, trig: np.ndarray) -> None:
+    """Fill the (rows, 2n) array z with standard normals, as (Re, Im) pairs.
+
+    Box-Muller: each row draws 2n uniforms u into z, so row blocks draw what
+    one block draws.  The first n give float64 radii sqrt(-2 log(1 - u)),
+    finite up to 8.6 sigma; the last n give angles 2 pi u, whose cos and sin
+    are taken in float32.  radius (rows x n) and trig (rows x 2n float32) are
+    scratch with at least as many rows as z.
+    """
+    rows, n = len(z), z.shape[1] // 2
+    radius, cos, sin = radius[:rows], trig[:rows, :n], trig[:rows, n:]
+    rng.random(out=z)
+    np.subtract(1.0, z[:, :n], out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.multiply(z[:, n:], 2.0 * math.pi, out=sin)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    np.multiply(radius, cos, out=z[:, 0::2])
+    np.multiply(radius, sin, out=z[:, 1::2])
 
 
 def _drawn_ahead(items):

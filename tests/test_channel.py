@@ -136,6 +136,33 @@ def test_burst_rows_ranges_end_to_end_equal_one_call():
     assert np.array_equal(whole.reshape(-1)[-7:], tpl[:7])
 
 
+def test_burst_rows_of_a_range_come_from_the_bursts_that_touch_it():
+    # the arrivals a range picks are those a mask over every arrival picks,
+    # and a range no burst touches gets no rows.  Some bursts end on the
+    # first sample of symbol 100 or just before it, or start on the last
+    # sample of symbol 199 or just after it.
+    fs, m, n = 32768.0, 64, 400
+    n_burst = int(round(channel.WBurstModel.DURATION_S * fs))
+    rng = np.random.default_rng(8)
+    edges = [100 * m - n_burst, 100 * m - n_burst + 1, 200 * m - 1, 200 * m]
+    arrivals = np.sort(np.concatenate([rng.uniform(0.0, n * m / fs, 12), np.array(edges) / fs]))
+    first = np.round(arrivals * fs)
+    assert set(edges) <= set(first)
+    untouched = 0
+    for k0 in range(n):
+        for k1 in (k0 + 1, k0 + 5, n):
+            touch = (first + n_burst > k0 * m) & (first < k1 * m)
+            hit = {k for f in first[touch].astype(int) for k in range(f // m, (f + n_burst - 1) // m + 1)}
+            ks, rows = channel._burst_rows(arrivals, m, fs, 0.5, k0, k1)
+            assert list(ks) == sorted(hit & set(range(k0, k1))), (k0, k1)
+            _, want = channel._burst_rows(arrivals[touch], m, fs, 0.5, k0, k1)
+            assert np.array_equal(rows, want), (k0, k1)
+            if not touch.any():
+                untouched += 1
+                assert ks.dtype == np.int64 and ks.shape == (0,) and rows.shape == (0, m)
+    assert untouched > 0
+
+
 def test_interference_rate_closed_form():
     assert channel.interference_symbol_error_rate(31e-3) == pytest.approx(6.2e-2)
     assert channel.interference_symbol_error_rate(1.03e-3) == pytest.approx(6.18e-3)

@@ -155,6 +155,22 @@ def test_spectrum_of_a_csv_waveform_without_fs_exits_2_naming_the_flag(tmp_path,
     assert "Traceback" not in err
 
 
+def test_demodulate_of_a_csv_waveform_without_fs_exits_2_naming_the_flag(tmp_path, capsys):
+    # a CSV carries no sample rate, so --fs is not guessed from the clock
+    wav = tmp_path / "w.csv"
+    run_cli(capsys, "modulate", "--sf", "7", "--fosc", "32768", "--fs", "32768",
+            "--symbols", "3,77,127", "--out", str(wav))
+    code = main(["demodulate", "--sf", "7", "--fosc", "32768", "--in", str(wav)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and "--fs" in captured.err
+    assert "Traceback" not in captured.err
+    code, out = run_cli(capsys, "demodulate", "--sf", "7", "--fosc", "32768", "--fs", "32768",
+                        "--in", str(wav))
+    assert (code, out) == (0, "symbol_index,detected\n0,3\n1,77\n2,127\n")
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sf = 99\n")
