@@ -76,11 +76,17 @@ def _parse_symbols(text: str) -> list[int]:
 
 
 def _load_waveform(path: str, fs_hz: float | None) -> Waveform:
+    """The waveform stored at path, which must hold finite samples only."""
     if path.endswith(".csv"):
         if fs_hz is None:
             raise ConfigurationError(f"{path}: a .csv waveform carries no sample rate; give --fs")
-        return Waveform.from_csv(path, fs_hz=fs_hz, kind="analog")
-    return Waveform.load(path)
+        w = Waveform.from_csv(path, fs_hz=fs_hz, kind="analog")
+    else:
+        w = Waveform.load(path)
+    bad = np.flatnonzero(~np.isfinite(w.samples))
+    if len(bad):
+        raise ConfigurationError(f"{path}: sample {bad[0]} is {float(w.samples[bad[0]])}, not finite")
+    return w
 
 
 def cmd_params(args) -> None:

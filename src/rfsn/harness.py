@@ -27,12 +27,7 @@ SWEEP_AXES = {
 }
 TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 
-# Symbols per seed-stable chunk of BerEngine.run.  Each chunk draws from its
-# own SeedSequence child, so the chunks are independent of one another; the
-# size is part of the seeded stream.
-ENGINE_BATCH = 4096
-
-# Bytes of one row block of standard normals in BerEngine.run: a chunk is
+# Bytes of one row block of standard normals in BerEngine.run: a run is
 # drawn and decided in blocks of this size, into one reused buffer (two for
 # the complex template, which draws ahead), which bound its memory.
 # Sequential draws from one generator give the stream of one draw, so the
@@ -344,27 +339,21 @@ class BerEngine:
         peak = np.abs(self.template_bins[s, s]) ** 2
         return float(np.mean(peak / (m * np.sum(np.abs(self.templates) ** 2, axis=1))))
 
-    def _noise_blocks(self, streams, sent: np.ndarray, buffers: list[np.ndarray], scratch: tuple):
-        """Draw a run's symbols into sent and yield (b0, b1, z) per row block.
+    def _noise_blocks(self, rng, sent: np.ndarray, buffers: list[np.ndarray], scratch: tuple):
+        """Draw a run's symbols from rng into sent, then yield (b0, b1, z) per row block.
 
-        Chunk c of ENGINE_BATCH symbols draws its symbols from streams[c],
-        then the standard normals of each block of as many rows as a buffer
-        holds (_box_muller, through scratch); z holds those of symbols
-        [b0, b1).  The blocks take the buffers in turn, so the caller must be
+        z holds the standard normals of symbols [b0, b1), drawn from rng next
+        (_box_muller, through scratch) in blocks of as many rows as a buffer
+        holds.  The blocks take the buffers in turn, so the caller must be
         done with a block before it asks for the one that reuses its buffer.
         """
-        block = len(buffers[0])
-        cycle = itertools.cycle(buffers)
-        for c, stream in enumerate(streams):
-            start = c * ENGINE_BATCH
-            stop = min(start + ENGINE_BATCH, len(sent))
-            rng = np.random.default_rng(stream)
-            sent[start:stop] = rng.integers(0, self.p.n_bins, size=stop - start)
-            for b0 in range(start, stop, block):
-                b1 = min(b0 + block, stop)
-                z = next(cycle)[: b1 - b0]
-                _box_muller(rng, z, *scratch)
-                yield b0, b1, z
+        n_symbols, block = len(sent), len(buffers[0])
+        sent[:] = rng.integers(0, self.p.n_bins, size=n_symbols)
+        for b0, buf in zip(range(0, n_symbols, block), itertools.cycle(buffers)):
+            b1 = min(b0 + block, n_symbols)
+            z = buf[: b1 - b0]
+            _box_muller(rng, z, *scratch)
+            yield b0, b1, z
 
     def run(
         self,
@@ -377,9 +366,9 @@ class BerEngine:
         """Symbol and bit error rates of n_symbols random symbols, with the
         channel.WBurstModel interference on top of the noise when bursts is set.
 
-        Chunk c of ENGINE_BATCH symbols draws its symbols, then its noise,
-        from child c of SeedSequence(seed); burst arrivals over the whole run
-        come from one more child, after the chunks'.  The noise is drawn and
+        The run draws its symbols, then its noise, from child 0 of
+        SeedSequence(seed), and its burst arrivals from child 1, so a seeded
+        result depends only on (seed, n_symbols).  The noise is drawn and
         decided in row blocks of at most ENGINE_BLOCK_BYTES.  The complex
         template draws each block on a worker thread while this one decides
         the block before (_drawn_ahead): the draw costs more than the
@@ -390,14 +379,13 @@ class BerEngine:
         p = self.p
         m = p.samples_per_symbol
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
-        n_chunks = -(-n_symbols // ENGINE_BATCH)
+        symbols_seq, bursts_seq = np.random.SeedSequence(seed).spawn(2)
         sent = np.empty(n_symbols, dtype=np.int64)
         detected = np.empty(n_symbols, dtype=np.int64)
         arrivals = np.empty(0)
         if bursts:
             span_s = n_symbols * m / p.fs_hz
-            child = np.random.SeedSequence(seed, spawn_key=(n_chunks,))
-            arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(child))
+            arrivals = channel.WBurstModel.arrival_times(span_s, np.random.default_rng(bursts_seq))
         table = amp * self.template_bins
         var = channel.NoiseModel(n0_w_per_hz).variance(p.fs_hz)
         # a buffer of one row block (2n float64 normals a row), two when a
@@ -405,12 +393,10 @@ class BerEngine:
         # are made here: what a worker thread allocates comes from a malloc
         # arena of its own (~2 MB more peak RSS).
         ahead = np.iscomplexobj(self.templates)
-        block = min(max(1, ENGINE_BLOCK_BYTES // (16 * p.n_bins)), n_symbols)
+        block = max(1, min(ENGINE_BLOCK_BYTES // (16 * p.n_bins), n_symbols))
         buffers = [np.empty((block, 2 * p.n_bins)) for _ in range(1 + ahead)]
         scratch = (np.empty((block, p.n_bins)), np.empty((block, 2 * p.n_bins), dtype=np.float32))
-        # child c of SeedSequence(seed), made when chunk c starts
-        streams = (np.random.SeedSequence(seed, spawn_key=(c,)) for c in range(n_chunks))
-        blocks = self._noise_blocks(streams, sent, buffers, scratch)
+        blocks = self._noise_blocks(np.random.default_rng(symbols_seq), sent, buffers, scratch)
         if ahead:
             blocks = _drawn_ahead(blocks)
         with contextlib.closing(blocks):  # stops the worker even when a block raises

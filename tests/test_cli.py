@@ -222,6 +222,29 @@ def test_csv_waveform_with_a_bad_row_exits_2(row, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["demodulate", "spectrum"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("suffix", [".csv", ".sqch"])
+def test_waveform_with_a_non_finite_sample_exits_2_naming_it(command, value, suffix, tmp_path, capsys):
+    wav = tmp_path / f"w{suffix}"
+    run_cli(capsys, "modulate", "--sf", "7", "--fosc", "32768", "--fs", "32768",
+            "--symbols", "3,77", "--out", str(wav))
+    if suffix == ".csv":
+        lines = wav.read_text().splitlines(keepends=True)
+        lines[6] = f"5,{value}\n"  # after the header, row 5
+        wav.write_text("".join(lines))
+    else:
+        samples = Waveform.load(str(wav)).samples
+        samples[5] = float(value)
+        Waveform(samples, 32768.0, "analog").save(str(wav))
+    argv = {"demodulate": ["demodulate", "--sf", "7", "--fosc", "32768"], "spectrum": ["spectrum"]}
+    code = main(argv[command] + ["--fs", "32768", "--in", str(wav)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {wav}: sample 5 is {value}, not finite\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

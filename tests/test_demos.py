@@ -33,9 +33,9 @@ DEMO_04_TABLE = """\
 burst model: 3 ms every 0.5 s, amplitude x150
 
  bw_kHz   ds_ms closed_form_es   sim_ser   sim_ber
-    4.1   31.25         0.0625    0.0613    0.0312
-  125.0    1.02         0.0061    0.0080    0.0040
-  250.0    0.51         0.0061    0.0070    0.0035
+    4.1   31.25         0.0625    0.0614    0.0311
+  125.0    1.02         0.0061    0.0087    0.0044
+  250.0    0.51         0.0061    0.0070    0.0034
 """
 
 
