@@ -112,13 +112,6 @@ def _phase_terms(symbol, p: ChirpParams, t):
     return ramp, 2 * np.pi * p.bw_hz * np.clip(t - t_wrap, 0.0, None)
 
 
-def symbol_phase(symbol: int, p: ChirpParams, t: np.ndarray) -> np.ndarray:
-    """Accumulated phase 2*pi*integral(f) of one symbol from phase 0 at times t (seconds)."""
-    _check_symbol(symbol, p)
-    ramp, wrap = _phase_terms(symbol, p, np.asarray(t, dtype=np.float64))
-    return ramp - wrap
-
-
 def _py_squares(x: np.ndarray) -> np.ndarray:
     """x**2 in Python float arithmetic, element by element.
 

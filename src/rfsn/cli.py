@@ -112,8 +112,6 @@ def cmd_modulate(args) -> None:
     p = chirp.derive_params(args.sf, args.fosc, args.fs)
     symbols = _parse_symbols(args.symbols)
     w = (chirp.modulate_quantized if args.quantize else chirp.modulate_ideal)(symbols, p)
-    if not args.out:
-        raise ConfigurationError("modulate requires --out (waveform .csv or .bin)")
     if args.out.endswith(".csv"):
         w.to_csv(args.out)
     else:
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_chirp_args(sp)
     sp.add_argument("--symbols", required=True, help="comma-separated symbol values")
     sp.add_argument("--quantize", action="store_true", help="snap toggles to the clock grid")
-    sp.add_argument("--out", required=False, default=None)
+    sp.add_argument("--out", required=True, help="waveform file, .csv or .bin")
     sp.set_defaults(func=cmd_modulate, format="csv")
 
     sp = sub.add_parser("demodulate", help="dechirp a waveform back to symbols")

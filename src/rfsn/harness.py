@@ -7,7 +7,7 @@ import contextlib
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,12 +27,15 @@ SWEEP_AXES = {
 }
 TEMPLATE_KINDS = ("square-quantized", "square-ideal", "cosine", "complex")
 
-# Bytes of one row block of standard normals in BerEngine.run: a run is
-# drawn and decided in blocks of this size, into one reused buffer (two for
-# the complex template, which draws ahead), which bound its memory.
-# Sequential draws from one generator give the stream of one draw, so the
-# block size changes no draw; BLAS may round the colouring of a real
-# template's block of a few rows differently in the last bit.
+# Bytes of one row block of the Monte-Carlo engine.  BerEngine.run draws
+# and decides a run in blocks of this many bytes of standard normals, into
+# one reused buffer (two for the complex template, which draws ahead), and
+# BerEngine builds its complex and cosine templates in blocks of this many
+# bytes of rows; both bound the memory.  Sequential draws from one generator
+# give the stream of one draw, and each template row is computed on its own,
+# so the block size changes no draw and no template; BLAS may round the
+# colouring of a real template's block of a few rows differently in the
+# last bit.
 ENGINE_BLOCK_BYTES = 1 << 20
 
 # Composite-gain bracket (dB) that calibrate_composite_gain falls back to
@@ -230,9 +233,11 @@ class BerEngine:
     `dechirp_bins` is linear, so a symbol's decision bins are
     ``amp * template_bins[tx]`` plus the dechirped, mean-removed noise plus
     the dechirped, mean-removed bursts.  The noise of every template is drawn
-    straight in the 2^sf bins with its exact covariance: complex noise through
-    a rank-1 correction, real noise through a 2^(sf+1)-square factor of its
-    stacked (Re, Im) covariance, built on first use.
+    straight in the 2^sf bins with its exact covariance through one factor,
+    _noise_factor, built on first use: a rank-1 correction for complex noise,
+    a 2^(sf+1)-square factor of the stacked (Re, Im) covariance for real noise.
+    The complex and cosine templates are built a row block of at most
+    ENGINE_BLOCK_BYTES at a time.
     """
 
     def __init__(self, p: chirp.ChirpParams, kind: str = "square-quantized"):
@@ -242,15 +247,15 @@ class BerEngine:
         self.kind = kind
         m = p.samples_per_symbol
         n = p.n_bins
-        t = np.arange(m) / p.fs_hz
-        if kind == "complex":
-            tpl = np.empty((n, m), dtype=np.complex128)
-            for s in range(n):
-                tpl[s] = np.exp(1j * chirp.symbol_phase(s, p, t))
-        elif kind == "cosine":
-            tpl = np.empty((n, m))
-            for s in range(n):
-                tpl[s] = np.cos(chirp.symbol_phase(s, p, t))
+        if kind in ("complex", "cosine"):
+            tpl = np.empty((n, m), dtype=np.complex128 if kind == "complex" else np.float64)
+            t = np.arange(m) / p.fs_hz
+            rows = max(1, ENGINE_BLOCK_BYTES // tpl[0].nbytes)
+            for b0 in range(0, n, rows):
+                # the block's phases from 0: ramp - wrap, in place
+                phase, wrap = chirp._phase_terms(np.arange(b0, min(b0 + rows, n))[:, None], p, t)
+                phase -= wrap
+                tpl[b0 : b0 + rows] = np.exp(1j * phase) if kind == "complex" else np.cos(phase)
         else:
             tpl = chirp._symbol_envelopes(p, quantized=kind == "square-quantized")
         # in place: the same arithmetic as tpl - mean, abs(tpl) ** 2 and tpl / rms
@@ -266,51 +271,37 @@ class BerEngine:
         return rxdsp.dechirp_bins(self.templates, self.p)
 
     @cached_property
-    def _noise_factor(self) -> tuple[float, np.ndarray, float]:
-        """(sqrt(2M), u_hat, g) of the bin-noise factor L = sqrt(2M) (I - g u_hat u_hat^H).
+    def _noise_factor(self) -> tuple[float, np.ndarray, np.ndarray] | np.ndarray:
+        """The factor L of this template's bin noise: L z for standard normals z.
 
-        With D the dechirp_bins map and P = I - 1 1^T / M the mean removal,
-        white complex noise of per-sample power var leaves bin covariance
-        var D P D^H = var (2M I - u u^H / M), where u = D 1: the two folded
-        halves of an M-point DFT give D D^H = 2M I.  L L^H equals the bracket
-        when g = 1 - sqrt(1 - |u|^2 / (2 M^2)).
-        """
-        m = self.p.samples_per_symbol
-        u = rxdsp.dechirp_bins(np.ones(m), self.p)
-        norm2 = float(np.vdot(u, u).real)
-        g = 1.0 - math.sqrt(1.0 - norm2 / (2.0 * m * m))
-        return math.sqrt(2.0 * m), u / math.sqrt(norm2), g
+        With D the dechirp_bins map, P = I - 1 1^T / M the mean removal and
+        u = D 1, white noise of per-sample power var leaves bin covariance
+        C = var D P D^H = var (2M I - u u^H / M): the two folded halves of an
+        M-point DFT give D D^H = 2M I.  Complex noise: (sqrt(2M), u_hat,
+        g u_hat^*) of L = sqrt(2M) (I - g u_hat u_hat^H), whose L L^H equals
+        the bracket when g = 1 - sqrt(1 - |u|^2 / (2 M^2)).
 
-    def _color(self, z: np.ndarray, scale: float) -> np.ndarray:
-        """Turn each row z (a column vector) into scale * L z, in place."""
-        a, u_hat, g = self._noise_factor
-        z *= scale * a
-        # einsum's own loop, not a BLAS zgemv: a threaded BLAS call leaves its
-        # worker spinning on the core that draws the next block (see run)
-        z -= np.einsum("ij,j->i", z, g * u_hat.conj())[:, None] * u_hat
-        return z
-
-    @cached_property
-    def _real_noise_factor(self) -> np.ndarray:
-        """L^T = L, the symmetric bin-noise factor of unit-variance real white noise.
-
-        The bins y = D P x of real white x have covariance C = E[y y^H] =
-        2M I - u u^H / M, as for complex noise, and pseudo-covariance
-        Q = E[y y^T] = D D^T - u u^T / M, where u = D 1 and
+        Real noise: L^T = L, of unit-variance real white noise.  Its bins also
+        have pseudo-covariance Q = E[y y^T] = D D^T - u u^T / M, where
         (D D^T)[k, l] = G[k+l] + 2 G[k+l-n] + G[k+l-2n] (indices mod M, G the
         M-point FFT of the squared conjugate chirp).  With (Re, Im) interleaved
         the stacked covariance K holds Re(C + Q)/2, Re(C - Q)/2, Im(C + Q)/2
-        and -Im(C - Q)/2.  K is singular (rank 234 of 256 at sf 7), so L
-        comes from eigh, not Cholesky: L = V sqrt(w) V^T, the unique symmetric
-        PSD root, with L L^T = K.  V alone is not unique where eigenvalues
-        repeat, and LAPACK picks that basis differently with the number of
-        BLAS threads; the root does not depend on it.  Eigenvalues within
-        rounding of 0 count as 0, so the rounding noise of their eigenvectors
-        does not reach L either.
+        and -Im(C - Q)/2.  K is singular (rank 234 of 256 at sf 7), so L comes
+        from eigh, not Cholesky: L = V sqrt(w) V^T, the unique symmetric PSD
+        root, with L L^T = K.  V alone is not unique where eigenvalues repeat,
+        and LAPACK picks that basis differently with the number of BLAS
+        threads; the root does not depend on it.  Eigenvalues within rounding
+        of 0 count as 0, so the rounding noise of their eigenvectors does not
+        reach L either.
         """
         p = self.p
         m, n = p.samples_per_symbol, p.n_bins
         u = rxdsp.dechirp_bins(np.ones(m), p)
+        if np.iscomplexobj(self.templates):
+            norm2 = float(np.vdot(u, u).real)
+            g = 1.0 - math.sqrt(1.0 - norm2 / (2.0 * m * m))
+            u_hat = u / math.sqrt(norm2)
+            return math.sqrt(2.0 * m), u_hat, g * u_hat.conj()
         g = np.fft.fft(rxdsp._downchirp_conj(p.sf, m) ** 2)
         kl = np.add.outer(np.arange(n), np.arange(n))
         q = g[kl % m] + 2.0 * g[(kl - n) % m] + g[(kl - 2 * n) % m] - np.outer(u, u) / m
@@ -328,9 +319,15 @@ class BerEngine:
         """Decision-bin noise, one row per row of the (nb, 2n) standard normals z
         (overwritten), of mean-removed white time noise with per-sample power var."""
         if np.iscomplexobj(self.templates):
-            return self._color(z.view(np.complex128), math.sqrt(var / 2.0))
+            a, u_hat, gu = self._noise_factor
+            z = z.view(np.complex128)
+            z *= math.sqrt(var / 2.0) * a
+            # einsum's own loop, not a BLAS zgemv: a threaded BLAS call leaves its
+            # worker spinning on the core that draws the next block (see run)
+            z -= np.einsum("ij,j->i", z, gu)[:, None] * u_hat
+            return z
         z *= math.sqrt(var)
-        return (z @ self._real_noise_factor).view(np.complex128)
+        return (z @ self._noise_factor).view(np.complex128)
 
     def detection_fraction(self) -> float:
         """Mean dechirp-bin power capture of the scaled templates."""
@@ -541,11 +538,11 @@ class ChargeRow:
 def charge_models(cfg: ExperimentConfig) -> tuple[powersim.HarvesterModel, powersim.LeakageCurve]:
     if cfg.charge_variant == "active":
         return (
-            powersim.HarvesterModel.default_active().with_scale(cfg.efficiency_scale),
+            replace(powersim.HarvesterModel.default_active(), scale=cfg.efficiency_scale),
             powersim.LeakageCurve.default_with_startup(),
         )
     return (
-        powersim.HarvesterModel.default_passive().with_scale(cfg.efficiency_scale),
+        replace(powersim.HarvesterModel.default_passive(), scale=cfg.efficiency_scale),
         powersim.LeakageCurve.constant(powersim.P_SLEEP_W),
     )
 
@@ -588,7 +585,7 @@ def fit_passive_efficiency_scale() -> float:
 
     def t_of(scale: float) -> float:
         c = powersim.Capacitor(powersim.DEFAULT_PASSIVE_CAP_F)
-        h = base.with_scale(scale)
+        h = replace(base, scale=scale)
         return powersim.time_to_voltage(c, PASSIVE_ANCHOR_PR_DBM, h, leak, PASSIVE_ANCHOR_DT_S)
 
     lo, hi = 0.01, 1.0

@@ -46,10 +46,11 @@ class Capacitor:
     energy_j: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacitance_f <= 0:
-            raise ConfigurationError(f"capacitance must be positive, got {self.capacitance_f}")
-        if self.energy_j < 0:
-            raise ConfigurationError(f"stored energy cannot be negative, got {self.energy_j}")
+        if not 0 < self.capacitance_f < math.inf:
+            what = "positive" if self.capacitance_f <= 0 else "finite"
+            raise ConfigurationError(f"capacitance must be {what}, got {self.capacitance_f}")
+        if not 0 <= self.energy_j < math.inf:
+            raise ConfigurationError(f"stored energy must be finite and >= 0, got {self.energy_j}")
 
     @property
     def v_volts(self) -> float:
@@ -98,10 +99,11 @@ class HarvesterModel:
             raise ConfigurationError("efficiency curve abscissae must be strictly increasing")
         if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
             raise ConfigurationError("efficiency curve must be monotone non-decreasing")
-        if any(not 0.0 <= eta <= 1.0 for _, eta in pts) or not 0.0 < self.scale <= 1.0 / max(
-            eta for _, eta in pts
+        top = max(eta for _, eta in pts)
+        if any(not 0.0 <= eta <= 1.0 for _, eta in pts) or not (
+            top > 0.0 and 0.0 < self.scale <= 1.0 / top
         ):
-            raise ConfigurationError("scaled efficiency must stay within [0, 1]")
+            raise ConfigurationError("scaled efficiency must stay within [0, 1] and exceed 0 somewhere")
         object.__setattr__(self, "_dbm", np.array([p for p, _ in pts]))
         object.__setattr__(self, "_eta", np.array([eta for _, eta in pts]))
 
@@ -124,9 +126,6 @@ class HarvesterModel:
             ),
             -8.5,
         )
-
-    def with_scale(self, scale: float) -> "HarvesterModel":
-        return HarvesterModel(self.efficiency_points, self.sensitivity_dbm, scale)
 
     def efficiency(self, pr_dbm: float) -> float:
         if pr_dbm < self.sensitivity_dbm or pr_dbm < self.efficiency_points[0][0]:

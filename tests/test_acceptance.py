@@ -170,7 +170,7 @@ def test_criterion_6_startup_power_threshold_and_reachability():
 
 def test_criterion_7_charge_time_brackets():
     scale = harness.fit_passive_efficiency_scale()  # one-point anchor fit
-    h_p = powersim.HarvesterModel.default_passive().with_scale(scale)
+    h_p = dataclasses.replace(powersim.HarvesterModel.default_passive(), scale=scale)
     leak_p = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     t_passive = powersim.time_to_voltage(
         powersim.Capacitor(22e-6), -8.1, h_p, leak_p, dt_s=5e-4

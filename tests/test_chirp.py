@@ -69,7 +69,7 @@ def test_fs_floor_message_is_the_same_from_params_and_derive_params():
 
 
 def _instantaneous_frequency(symbol, t, p):
-    """Oracle of symbol_phase: the chirp's frequency at time t in a symbol, wrapped modulo bw."""
+    """Oracle of the phase's slope: the chirp's frequency at time t in a symbol, modulo bw."""
     chirp._check_symbol(symbol, p)
     if not 0 <= t < p.ds_s:
         raise ConfigurationError(f"t={t} outside symbol window [0, {p.ds_s})")
@@ -88,22 +88,22 @@ def test_instantaneous_frequency_start_and_wrap():
     assert _instantaneous_frequency(s, t_wrap + 1e-9, p) < 1.0
 
 
+def _phase_from(symbol, p, t, phi0):
+    """One symbol's phase from start phase phi0, summed as modulate_ideal chains it."""
+    ramp, wrap = chirp._phase_terms(symbol, p, np.asarray(t, dtype=np.float64))
+    return phi0 + ramp - wrap
+
+
 def test_symbol_phase_is_nondecreasing_and_matches_frequency():
     p = chirp.derive_params(7, 32768)
     t = np.linspace(0, p.ds_s, 4097)[:-1]
-    phi = chirp.symbol_phase(40, p, t)
+    phi = _phase_from(40, p, t, 0.0)
     assert np.all(np.diff(phi) >= 0)
     # numerical derivative matches 2*pi*f away from the wrap
     f = np.diff(phi) / np.diff(t) / (2 * np.pi)
     f_true = np.array([_instantaneous_frequency(40, tk, p) for tk in t[:-1]])
     ok = np.abs(f - f_true) < 0.02 * p.bw_hz
     assert np.mean(ok) > 0.99  # only samples straddling the wrap may differ
-
-
-def _phase_from(symbol, p, t, phi0):
-    """One symbol's phase from start phase phi0, summed as modulate_ideal chains it."""
-    ramp, wrap = chirp._phase_terms(symbol, p, np.asarray(t, dtype=np.float64))
-    return phi0 + ramp - wrap
 
 
 def test_modulate_ideal_is_binary_and_matches_phase_threshold():

@@ -83,6 +83,16 @@ def test_modulate_demodulate_roundtrip(tmp_path, capsys):
     assert detected == [3, 17, 90]
 
 
+def test_modulate_without_out_exits_2_before_synthesis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("modulate synthesized a waveform it cannot write")
+
+    monkeypatch.setattr(chirp, "modulate_ideal", refuse)
+    with pytest.raises(SystemExit) as exited:
+        main(["modulate", "--symbols", "1"])
+    assert exited.value.code == 2
+
+
 @pytest.mark.parametrize("suffix", [".bin", ".csv"])
 @pytest.mark.parametrize("sf, fosc", [(5, 32768.0), (7, 1e6), (9, 4e6)])
 def test_modulate_quantize_writes_the_bytes_of_modulate_quantized(sf, fosc, suffix, tmp_path, capsys):

@@ -270,14 +270,14 @@ def test_engine_noise_factor_reproduces_dechirp_covariance(sf):
 
 def test_engine_real_noise_factor_is_built_only_by_a_run():
     # an engine built for its templates or capture alone (perfbench's
-    # synth_demod builds four at sf 9) never pays for the real factor
+    # synth_demod builds four at sf 9) never pays for the noise factor
     for kind in harness.TEMPLATE_KINDS:
         eng = harness.BerEngine(_params(), kind)
         eng.detection_fraction()
-        assert "_real_noise_factor" not in vars(eng), kind
+        assert "_noise_factor" not in vars(eng), kind
     eng = harness.BerEngine(_params(), "cosine")
-    eng.run(1e-2, 1e-4, 10, seed=1)  # a run of a real template builds it
-    assert vars(eng)["_real_noise_factor"].shape == (2 * eng.p.n_bins,) * 2
+    eng.run(1e-2, 1e-4, 10, seed=1)  # a run of a real template builds the real factor
+    assert vars(eng)["_noise_factor"].shape == (2 * eng.p.n_bins,) * 2
 
 
 def test_engine_run_draws_no_time_domain_noise(monkeypatch):
@@ -896,7 +896,7 @@ def test_fit_passive_efficiency_scale_hits_anchor():
     scale = harness.fit_passive_efficiency_scale()
     # the value perfbench/reference.json pins: every bisection step's charge time is exact
     assert scale == 0.2828217874326667
-    h = powersim.HarvesterModel.default_passive().with_scale(scale)
+    h = dataclasses.replace(powersim.HarvesterModel.default_passive(), scale=scale)
     leak = powersim.LeakageCurve.constant(powersim.P_SLEEP_W)
     c = powersim.Capacitor(22e-6)
     t = powersim.time_to_voltage(c, -2.3, h, leak, dt_s=5e-4)

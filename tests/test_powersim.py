@@ -29,8 +29,13 @@ def test_capacitor_energy_voltage_roundtrip():
 
 
 def test_capacitor_rejects_nonpositive_capacitance():
-    with pytest.raises(ConfigurationError):
-        powersim.Capacitor(0.0)
+    # a nan capacitance would make time_to_voltage loop forever
+    for bad in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            powersim.Capacitor(bad)
+    for bad in (-1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            powersim.Capacitor(1e-3, bad)
 
 
 def test_euler_step_and_clamp():
@@ -61,13 +66,15 @@ def test_harvested_power_arithmetic():
 
 
 def test_harvester_scale_and_validation():
-    h = powersim.HarvesterModel.default_passive().with_scale(0.5)
+    h = dataclasses.replace(powersim.HarvesterModel.default_passive(), scale=0.5)
     base = powersim.HarvesterModel.default_passive()
     assert h.efficiency(0.0) == pytest.approx(0.5 * base.efficiency(0.0))
     with pytest.raises(ConfigurationError):
         powersim.HarvesterModel([(-5.0, 0.5), (0.0, 0.4)])  # not increasing
     with pytest.raises(ConfigurationError):
         powersim.HarvesterModel([(-5.0, 0.5), (0.0, 1.4)])  # out of [0, 1]
+    with pytest.raises(ConfigurationError):
+        powersim.HarvesterModel(((0.0, 0.0), (1.0, 0.0)))  # harvests nothing at any scale
 
 
 # -------------------------------------------------------------------- leakage
@@ -472,7 +479,7 @@ def _ref_efficiency(h, pr_dbm):
     "h",
     [
         powersim.HarvesterModel.default_active(),  # sensitivity above the first anchor
-        powersim.HarvesterModel.default_passive().with_scale(0.37),
+        dataclasses.replace(powersim.HarvesterModel.default_passive(), scale=0.37),
         powersim.HarvesterModel(((-3.0, 0.1), (7.5, 0.4)), -20.0, 2.5),
     ],
     ids=["active", "passive-scaled", "two-anchors"],
