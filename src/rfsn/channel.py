@@ -186,7 +186,7 @@ def interference_symbol_error_rate(ds_s: float) -> float:
     Each burst lands inside some symbol and destroys it plus the symbols it
     spills into: ceil(Dw/Ds) symbols per burst, bursts at rate 1/Tw.
     """
-    if ds_s <= 0:
-        raise ConfigurationError("symbol duration must be positive")
+    if not 0 < ds_s < math.inf:
+        raise ConfigurationError(f"symbol duration must be positive and finite, got {ds_s}")
     dw, tw = WBurstModel.DURATION_S, WBurstModel.MEAN_INTERVAL_S
     return min(1.0, math.ceil(dw / ds_s) * ds_s / tw)

@@ -100,11 +100,11 @@ class ExperimentConfig:
                 problems.append(f"{f.name}={v!r} holds a non-finite value")
 
         def check(build, key=""):
-            """build(), or None with its problem noted under key unless already named."""
+            """build(), or None with its problem noted under key unless it or key's non-finite value is named."""
             try:
                 return build()
             except ConfigurationError as exc:
-                if str(exc) not in problems:
+                if str(exc) not in problems and f"{key} is not finite" not in problems:
                     problems.append(f"{key}: {exc}" if key else str(exc))
 
         # sample rate -> the points simulated at it, for the noise variance check
@@ -257,7 +257,7 @@ class BerEngine:
                 phase -= wrap
                 tpl[b0 : b0 + rows] = np.exp(1j * phase) if kind == "complex" else np.cos(phase)
         else:
-            tpl = chirp._symbol_envelopes(p, quantized=kind == "square-quantized")
+            tpl = chirp._envelopes(np.arange(n), p, kind == "square-quantized")[0]
         # in place: the same arithmetic as tpl - mean, abs(tpl) ** 2 and tpl / rms
         tpl -= tpl.mean(axis=1, keepdims=True)
         power = np.abs(tpl)
@@ -374,6 +374,13 @@ class BerEngine:
         cores, so it draws inline.  Either way the draws are the same.
         """
         p = self.p
+        if not 0 <= ps_w < math.inf:
+            raise ConfigurationError(f"ps_w must be finite and >= 0, got {ps_w}")
+        if not 0 <= n0_w_per_hz * p.fs_hz < math.inf:
+            raise ConfigurationError(f"n0_w_per_hz must be >= 0 with a finite n0*fs, got {n0_w_per_hz}")
+        for name, v in (("n_symbols", n_symbols), ("seed", seed)):
+            if v < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {v}")
         m = p.samples_per_symbol
         amp = math.sqrt(ps_w)  # the rms of the signal: templates are unit-power
         symbols_seq, bursts_seq = np.random.SeedSequence(seed).spawn(2)

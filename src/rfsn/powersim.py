@@ -95,6 +95,9 @@ class HarvesterModel:
         pts = self.efficiency_points
         if len(pts) < 2:
             raise ConfigurationError("efficiency curve needs at least two points")
+        # -inf, the default sensitivity, means no floor
+        if not (np.isfinite(pts).all() and self.sensitivity_dbm < math.inf):
+            raise ConfigurationError("efficiency knots must be finite, and sensitivity_dbm finite or -inf")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ConfigurationError("efficiency curve abscissae must be strictly increasing")
         if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
@@ -133,6 +136,9 @@ class HarvesterModel:
         return self.scale * float(np.interp(pr_dbm, self._dbm, self._eta))
 
     def harvested_power_w(self, pr_dbm: float) -> float:
+        # nan would give a nan power and +inf an infinite one; -inf harvests nothing
+        if not pr_dbm < math.inf:
+            raise ConfigurationError(f"incident power pr_dbm must be finite or -inf, got {pr_dbm}")
         return self.efficiency(pr_dbm) * dbm_to_w(pr_dbm)
 
 

@@ -132,8 +132,11 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score 95% confidence interval for a binomial proportion.
 
     The bounds are exactly 0 at k = 0 and exactly 1 at k = n, where
-    center -/+ half cancels only to within rounding.
+    center -/+ half cancels only to within rounding.  No trials (n <= 0)
+    give all of [0, 1]; k must lie in [0, n].
     """
+    if not 0 <= k <= max(n, 0):
+        raise ConfigurationError(f"wilson_interval needs 0 <= k <= n, got k={k}, n={n}")
     if n <= 0:
         return 0.0, 1.0
     phat = k / n

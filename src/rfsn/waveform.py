@@ -30,8 +30,10 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 class Waveform:
     """Sampled signal: a binary backscatter envelope or a post-channel analog trace.
 
-    ``toggle_instants`` optionally carries the exact continuous-time transition
-    instants the envelope was rendered from; the clock quantizer needs them.
+    ``toggle_instants`` optionally carries the instants of the envelope's level
+    changes: the sample instant at which each first shows (modulate_ideal), or
+    the 4/fosc grid point it takes effect at (modulate_quantized).  The clock
+    quantizer needs the former.
     """
 
     samples: np.ndarray

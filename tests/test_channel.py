@@ -168,3 +168,6 @@ def test_interference_rate_closed_form():
     assert channel.interference_symbol_error_rate(1.03e-3) == pytest.approx(6.18e-3)
     # a symbol far longer than the burst interval is always hit
     assert channel.interference_symbol_error_rate(10.0) == 1.0
+    for ds in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="symbol duration must be positive and finite"):
+            channel.interference_symbol_error_rate(ds)

@@ -1,6 +1,7 @@
 """Square-chirp synthesis: parameter derivation, phase math, quantization."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ def test_fs_floor_message_is_the_same_from_params_and_derive_params():
     )
 
 
+def test_samples_per_symbol_is_checked_when_the_params_are_built():
+    # a non-integer count, a count beyond int64, and the int64 phase limit
+    # 2 * 2^sf * M^2 < 2^63: at sf 12, M = 2^15 * fs/fosc must stay below 2^25
+    for sf, fs in ((7, 40000.3), (7, 1e300), (12, 1024 * 32768.0)):
+        with pytest.raises(ConfigurationError, match="samples per symbol; need an integer M"):
+            chirp.derive_params(sf, 32768, fs_hz=fs)
+    assert chirp.ChirpParams(12, 32768.0, 1023 * 32768.0).samples_per_symbol == 1023 * 2**15
+
+
 def _instantaneous_frequency(symbol, t, p):
     """Oracle of the phase's slope: the chirp's frequency at time t in a symbol, modulo bw."""
     chirp._check_symbol(symbol, p)
@@ -107,8 +117,7 @@ def test_symbol_phase_is_nondecreasing_and_matches_frequency():
 
 
 def test_modulate_ideal_is_binary_and_matches_phase_threshold():
-    # sf 6, 50 -> 0 puts a phase crossing on the symbol boundary, solved once
-    # on each side of it
+    # sf 6, 50 -> 0 puts a phase crossing exactly on the symbol boundary
     for sf, syms in [(7, [0, 1, 63, 127]), (6, [50, 0])]:
         p = chirp.derive_params(sf, 32768, fs_hz=32768)
         w = chirp.modulate_ideal(syms, p)
@@ -188,6 +197,16 @@ def test_quantize_with_too_slow_clock_is_infeasible():
         chirp.quantize_toggles(w, p.fosc_hz / 4)
 
 
+def test_quantize_ignores_toggles_past_the_last_sample():
+    # a toggle can snap past the last sample's instant: it shows in no sample
+    p = chirp.derive_params(5, 32768, fs_hz=32768)
+    w = chirp.modulate_ideal([31], p)
+    w.toggle_instants = np.append(w.toggle_instants, len(w) / p.fs_hz + 1.5 * p.toggle_grid_s)
+    q = chirp.quantize_toggles(w, p.fosc_hz)
+    assert q.toggle_instants[-1] > len(w) / p.fs_hz
+    assert np.array_equal(q.samples, chirp.modulate_quantized([31], p).samples)
+
+
 def test_quantize_needs_the_toggle_instants_of_modulate_ideal():
     # a decoded waveform keeps its samples but not the exact toggle instants
     p = chirp.derive_params(7, 32768, fs_hz=32768)
@@ -210,82 +229,76 @@ def test_detection_power_fraction_of_square_envelope():
     assert 0.3 < harness.BerEngine(p, "square-ideal").detection_fraction() < 0.5
 
 
-# -- reference synthesis: one symbol at a time, rendered sample by sample --------
+# -- exact synthesis: the phase in fractions.Fraction ------------------------------
 
 
-def _ref_symbol_toggle_instants(symbol, p, phi0):
-    """Per-symbol closed-form phase crossings, the scalar form of the modulator's solver."""
-    f0 = symbol * p.bw_hz / p.n_bins
-    rate = p.bw_hz / p.ds_s
-    t_wrap = min((p.bw_hz - f0) / rate, p.ds_s)
-    out = []
-    phi_a1 = phi0 + 2 * np.pi * (f0 * t_wrap + 0.5 * rate * t_wrap**2)
-    m_lo = math.floor(phi0 / np.pi) + 1
-    m_hi = math.floor(phi_a1 / np.pi)
-    if m_hi >= m_lo:
-        m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-        c = (m * np.pi - phi0) / (2 * np.pi)
-        t = (np.sqrt(f0 * f0 + 2 * rate * c) - f0) / rate
-        out.append(np.minimum(t, t_wrap))
-    if t_wrap < p.ds_s:
-        tau_max = p.ds_s - t_wrap
-        phi_b1 = phi_a1 + 2 * np.pi * 0.5 * rate * tau_max**2
-        m_lo = math.floor(phi_a1 / np.pi) + 1
-        m_hi = math.floor(phi_b1 / np.pi)
-        if m_hi >= m_lo:
-            m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-            c = (m * np.pi - phi_a1) / (2 * np.pi)
-            tau = np.sqrt(2 * c / rate)
-            out.append(t_wrap + np.minimum(tau, tau_max))
-    return np.concatenate(out) if out else np.empty(0)
+def _exact_levels(symbols, p, index, step):
+    """Oracle: the envelope of a symbol sequence at times index*step within each symbol.
+
+    bw, f0, rate and t_wrap are Fractions of fosc, and the phase accumulates
+    across symbols from 0: within a symbol phi/pi = phi0/pi + 2 f0 t + rate t^2
+    - [t >= t_wrap] 2 bw (t - t_wrap).  At t = i*step that is a polynomial in
+    the integer i with Fraction coefficients, evaluated exactly over their
+    common denominator.  The level is high while floor(phi/pi) is even.
+    """
+    bw = Fraction(p.fosc_hz) / 8
+    ds = p.n_bins / bw
+    rate = bw / ds
+    i = np.asarray(index, dtype=np.int64)
+    start, rows = Fraction(0), []
+    for s in symbols:
+        f0 = int(s) * bw / p.n_bins
+        t_wrap = (bw - f0) / rate
+        coefs = (start, 2 * f0 * step, rate * step * step, 2 * bw * step, 2 * bw * t_wrap)
+        den = math.lcm(*(c.denominator for c in coefs))
+        c0, c1, c2, w1, w0 = (int(c * den) for c in coefs)
+        assert den * (start + 3 * p.n_bins) < 2**63  # every term fits int64
+        after = i >= math.ceil(t_wrap / step)
+        num = c0 + c1 * i + c2 * i * i - after * (w1 * i - w0)
+        rows.append(num // den % 2 == 0)
+        start += 2 * f0 * ds + rate * ds * ds - 2 * bw * (ds - t_wrap)
+    return np.concatenate(rows).astype(np.float64)
 
 
-def _ref_render(toggles_s, initial_value, n_samples, fs_hz):
-    """Each sample counts the toggles at or before its own instant k/fs."""
-    t = np.arange(n_samples) / fs_hz
-    flips = np.searchsorted(toggles_s, t, side="right")
-    return ((initial_value + flips) % 2).astype(np.float64)
+def _changes(levels):
+    return np.flatnonzero(levels[1:] != levels[:-1]) + 1
 
 
-def _ref_snap(instants, grid):
-    snapped = np.ceil(instants / grid - 1e-9) * grid
-    if len(snapped) > 1:
-        shifted = snapped - np.arange(len(snapped)) * grid
-        snapped = np.maximum.accumulate(shifted) + np.arange(len(snapped)) * grid
-    return snapped
+def _assert_matches_exact(symbols, p):
+    """Every sample and toggle instant of both envelopes against the Fraction phase.
 
-
-def _ref_modulate(symbols, p):
-    """(ideal instants, ideal samples, quantized instants, quantized samples)."""
-    phi0 = 0.0
-    toggles = []
-    for i, s in enumerate(symbols):
-        toggles.append(i * p.ds_s + _ref_symbol_toggle_instants(int(s), p, phi0))
-        phi0 = float(_phase_from(int(s), p, np.array([p.ds_s]), phi0)[0]) % (2 * np.pi)
-    ideal = chirp._drop_coincident_pairs(np.concatenate(toggles), p.bw_hz)
-    n = p.samples_per_symbol * len(symbols)
-    snapped = _ref_snap(ideal, chirp.CYCLES_PER_TOGGLE / p.fosc_hz)
-    return ideal, _ref_render(ideal, 1, n, p.fs_hz), snapped, _ref_render(snapped, 1, n, p.fs_hz)
-
-
-def _assert_matches_reference(symbols, p):
-    ideal, ideal_samples, snapped, snapped_samples = _ref_modulate(symbols, p)
+    Ideal: the level at each sample's instant k/fs.  Quantized: the level at
+    the last 4/fosc grid point at or before it.
+    """
+    fs, grid = Fraction(p.fs_hz), chirp.CYCLES_PER_TOGGLE / Fraction(p.fosc_hz)
+    k = np.arange(p.samples_per_symbol)
+    ideal = _exact_levels(symbols, p, k, 1 / fs)
     w = chirp.modulate_ideal(symbols, p)
-    assert np.array_equal(w.toggle_instants, ideal), (p, list(symbols))
-    assert np.array_equal(w.samples, ideal_samples), (p, list(symbols))
+    assert np.array_equal(w.samples, ideal), (p, list(symbols))
+    assert np.array_equal(w.toggle_instants, _changes(ideal) / p.fs_hz), (p, list(symbols))
+    per_grid = 1 / fs / grid  # grid points per sample
+    quantized = _exact_levels(symbols, p, k * per_grid.numerator // per_grid.denominator, grid)
+    on_grid = _exact_levels(symbols, p, np.arange(2 * p.n_bins), grid)
     q = chirp.modulate_quantized(symbols, p)
-    assert np.array_equal(q.toggle_instants, snapped), (p, list(symbols))
-    assert np.array_equal(q.samples, snapped_samples), (p, list(symbols))
+    assert np.array_equal(q.samples, quantized), (p, list(symbols))
+    instants = _changes(on_grid) * chirp.CYCLES_PER_TOGGLE / p.fosc_hz
+    assert np.array_equal(q.toggle_instants, instants), (p, list(symbols))
 
 
-# At 1 and 4 MHz some symbols' t_wrap**2 (C pow) differs from t_wrap * t_wrap
-# in the last bit, which moves their toggle instants.
+@pytest.mark.parametrize("fosc", [32768.0, 40000.0, 1e6, 4e6])
+@pytest.mark.parametrize("fs", ["fosc", "16bw"])
+@pytest.mark.parametrize("sf", [5, 6, 7])
+def test_every_symbol_matches_the_exact_phase(sf, fs, fosc):
+    p = chirp.derive_params(sf, fosc, fs_hz=fosc if fs == "fosc" else None)
+    _assert_matches_exact(np.arange(p.n_bins), p)
+
+
 @pytest.mark.parametrize("sf,fosc", [(sf, 32768) for sf in range(5, 11)] + [(5, 1e6), (7, 4e6)])
 def test_synthesis_matches_reference_on_every_symbol(sf, fosc):
     # ascending chunks of 32 symbols, as criterion 4 sends them
     p = chirp.derive_params(sf, fosc, fs_hz=fosc)
     for start in range(0, p.n_bins, 32):
-        _assert_matches_reference(np.arange(start, min(start + 32, p.n_bins)), p)
+        _assert_matches_exact(np.arange(start, min(start + 32, p.n_bins)), p)
 
 
 @pytest.mark.parametrize("fs", ["fosc", "16bw"])
@@ -297,46 +310,38 @@ def test_synthesis_matches_reference_on_random_sequences(sf, fs):
         s = rng.integers(0, p.n_bins, 48)
         s[4:9] = s[4]  # repeats continue the phase of the one before
         s[12:24] = np.sort(s[12:24])[::-1]  # a descending run
-        _assert_matches_reference(s, p)
+        _assert_matches_exact(s, p)
 
 
 def test_synthesis_matches_reference_on_every_transition_into_zero():
-    # the coincident-pair seam: sf 6, 50 -> 0 solves one crossing on each side
+    # sf 6, 50 -> 0 puts a phase crossing exactly on the symbol boundary
     p = chirp.derive_params(6, 32768, fs_hz=32768)
     for a in range(p.n_bins):
-        _assert_matches_reference([a, 0], p)
+        _assert_matches_exact([a, 0], p)
 
 
-@pytest.mark.parametrize("fs", [3.0, 32768.0, 44100.7, 48000.0])
-def test_render_matches_reference_on_and_beside_sample_instants(fs):
-    n = 200
-    on = np.arange(1, n) / fs  # a toggle exactly on k/fs flips sample k
-    for toggles in (on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf), on[::7]):
-        for initial in (0, 1):
-            got = chirp._render_from_toggles(toggles, initial, n, fs)
-            assert np.array_equal(got, _ref_render(toggles, initial, n, fs))
-    assert list(chirp._render_from_toggles(on[[4]], 1, n, fs)[4:7]) == [1.0, 0.0, 0.0]
+@pytest.mark.parametrize("fs_over_bw", [8, 16])
+def test_equal_sf_and_fs_over_bw_give_the_same_samples_at_every_clock(fs_over_bw):
+    # the model has no absolute time scale: the clock sets bw, ds and fs together
+    rng = np.random.default_rng(fs_over_bw)
+    for sf in (5, 7, 9):
+        symbols = rng.integers(0, 1 << sf, 64)
+        for modulate in (chirp.modulate_ideal, chirp.modulate_quantized):
+            got = [
+                modulate(symbols, chirp.derive_params(sf, fosc, fs_hz=fs_over_bw * fosc / 8)).samples
+                for fosc in (32768.0, 40000.0, 1e6, 3e6, 4e6)
+            ]
+            assert all(np.array_equal(g, got[0]) for g in got[1:]), (sf, modulate)
 
 
-def test_render_ignores_toggles_past_the_last_sample():
-    toggles = np.array([2.5, 9.0, 10.0, 12.0, 15.0])
-    got = chirp._render_from_toggles(toggles, 1, 10, 1.0)
-    assert np.array_equal(got, _ref_render(toggles, 1, 10, 1.0))
-    assert np.array_equal(got, [1, 1, 1, 0, 0, 0, 0, 0, 0, 1])
-    # snapped toggles can land past n/fs: the quantizer renders them the same way
-    p = chirp.derive_params(5, 32768, fs_hz=32768)
-    w = chirp.modulate_ideal([31], p)
-    late = len(w) / p.fs_hz + 1.5 * p.toggle_grid_s
-    w.toggle_instants = np.append(w.toggle_instants, [late, late + 2 * p.toggle_grid_s])
-    q = chirp.quantize_toggles(w, p.fosc_hz)
-    assert q.toggle_instants[-1] > len(w) / p.fs_hz
-    assert np.array_equal(q.samples, _ref_render(q.toggle_instants, 1, len(w), p.fs_hz))
-
-
-def test_render_without_toggles_holds_the_initial_level():
-    for initial in (0, 1):
-        got = chirp._render_from_toggles(np.empty(0), initial, 7, 4.0)
-        assert np.array_equal(got, np.full(7, float(initial)))
+def test_a_waveform_is_its_symbols_rows_laid_end_to_end():
+    for sf, fosc in ((6, 32768.0), (7, 1e6)):
+        p = chirp.derive_params(sf, fosc)
+        symbols = np.random.default_rng(sf).integers(0, p.n_bins, 200)
+        symbols[10:20] = symbols[10]
+        for modulate in (chirp.modulate_ideal, chirp.modulate_quantized):
+            rows = [modulate([s], p).samples for s in symbols]
+            assert np.array_equal(modulate(symbols, p).samples, np.concatenate(rows)), (sf, modulate)
 
 
 @pytest.mark.parametrize("kind", ["square-ideal", "square-quantized"])

@@ -83,6 +83,14 @@ def test_validate_collects_all_problems():
     assert "sf" in msg and "template" in msg and "sweep" in msg
 
 
+def test_a_non_finite_owned_value_is_named_once():
+    # the float-field check and the owning object's check both refuse these
+    for key in ("capacitance_f", "efficiency_scale"):
+        with pytest.raises(ConfigurationError) as err:
+            harness.ExperimentConfig(**{key: math.nan})
+        assert str(err.value) == f"invalid config: {key}=nan is not finite"
+
+
 def test_validate_rejects_points_off_the_measured_grid():
     with pytest.raises(ConfigurationError, match=r"\(22.1 dBm, 0.0 cm\) outside the measured grid"):
         harness.parse_config("depth_cm = 0\n")
@@ -196,17 +204,20 @@ def test_engine_detection_fraction_by_template(kind, lo, hi):
 # 32768 Hz, as built by the out-of-place mean removal and scaling
 # (tpl - mean, abs(tpl) ** 2, tpl / rms) before they moved in place; taken
 # with numpy 2.4 on x86-64, whose cos and exp the cosine and complex rows use.
+# The square-ideal rows were taken again when the envelopes came from the exact
+# integer phase: they differ from the float toggle solver's where a toggle
+# falls exactly on a sample.
 _TEMPLATE_DIGESTS = {
     (5, "square-quantized"): "51937d2d840d38c1fc48c3ed35298a55f6698911a41b61d478d9ad08fa0d1782",
-    (5, "square-ideal"): "048c0ae6b6c75fa1ac824abc3e5a7dd61ae3b6508aedcd57884f4cda627f29b8",
+    (5, "square-ideal"): "c3bbdc610bd8c8b3336278ed079ebbdb75314d45ceec4dbefc21fef76681f70a",
     (5, "cosine"): "04dfc69b70fee2cbbe794ddf52eab78c5a4af333f25950760536af8ae07e37f8",
     (5, "complex"): "969cb7ef7ba1d641135a3b1220458a5e5f321c72eb5a27e86da3c92c5e0109e1",
     (7, "square-quantized"): "cd6e22a09964ff62a92e0b5c1c7f4c45855af3f9dab9606800a43cc53c00bc28",
-    (7, "square-ideal"): "8fdf35ed6afb580ed11a5421fe1d5a5f842e77780fcfd5e5be4976f0b7771724",
+    (7, "square-ideal"): "4cf3bca1962ecf88fa430c60c4d8ec659660dac7826a0dabed325535907794ee",
     (7, "cosine"): "d69137b618c38205174214e216b3381864de19c0517ed13e01b0991bb3dd73d5",
     (7, "complex"): "bdaca5f7d8b099669888efc0f89fae0bd7eeacb0d824ad7e0d9c25841422a4ac",
     (9, "square-quantized"): "8f2a97b14757a6c9385e4987d50b21e0264c8d5115d28a6e9ba59378ee0159da",
-    (9, "square-ideal"): "069e59648da248fe8d4896ed0bc65afba9be95ac19971aef79b766db44e11837",
+    (9, "square-ideal"): "df7c971ee26d0e9b043a80c179a7b5c8b4ca552d4bdba729969f868ed0634476",
     (9, "cosine"): "483223cfcfbd26fef08a51118c1c62efc1ce302e89d1c70c6959fcec115b7c0c",
     (9, "complex"): "86b0510668a53d65a7633ce006f8e4ebfcd51570d749a9e0b0f9a12929190548",
 }
@@ -522,7 +533,8 @@ def test_engine_run_is_independent_of_the_row_block(kind, with_bursts, scored, m
 # bursts, taken when a run drew from a new SeedSequence child every 4096
 # symbols, with numpy 2.4 on x86-64.  A run this short was one such chunk,
 # child 0, with its arrivals from child 1, so one stream per run draws it
-# unchanged.
+# unchanged.  The square-ideal entries were taken again with the exact-phase
+# templates.
 _SHORT_RUN_DIGESTS = {
     ("square-quantized", 1): (
         "a396b2fcf8b56afc66fe35d5a51cb4bfa3ed40c86f222c7026184bb3b05ec97c",
@@ -545,16 +557,16 @@ _SHORT_RUN_DIGESTS = {
         "a396b2fcf8b56afc66fe35d5a51cb4bfa3ed40c86f222c7026184bb3b05ec97c",
     ),
     ("square-ideal", 511): (
-        "e86df01e0e28efe62dc530d7d5d81faaf4872c6cf6f9258b1ccc8f8b775cc4e6",
-        "475094d5f36aea2252b9b29714ae81f5228a5ce75238c9b38a9e89a2127c4d95",
+        "833eba294ae07a99b029dab7f2927b7cec2d9933425b53a6c5f69ba7fb47e6fe",
+        "372b47a68a8f71aeaaa1c4a64a755c64426b0816fcfda109721df08ce55027d1",
     ),
     ("square-ideal", 2000): (
-        "98c8fac008ba594271f5faf2f3b55d08b13fcb68164789b05abd6a9ccddd0ed9",
-        "8a2fd68441e817f19f5b9b303bd9175e0a62303eb705124a01cb8590fa98bb99",
+        "38775f6d5265641620b275023742fee62d08a1f43a1815a8cdb86b8c1c282a90",
+        "45f826995fd0a709ef3ee5119fc910afc6aee29bdc8bd21d8e232bc80128294d",
     ),
     ("square-ideal", 4096): (
-        "edac054d4b3448e725d6a09c2cc85c18e433d528a0c784b8f263b0cf97959cee",
-        "c1303946b49edbfbf0c71d7c938d8b084fd5e45f20e15ff12cb0ba70f0694e12",
+        "3fbf3f59c25192fb489c3c3f8591653abf36f59142b533792fd3341a7405bcfc",
+        "52e9c195603dab3c81d33fa5e77fcbf3d6c102a54d9cb785184d0759cd3ba959",
     ),
     ("cosine", 1): (
         "4ffa2e3f307ce05dc7d3fd0965f4664d64ebfe20ef5ac011debb20299f72e1fc",
@@ -613,6 +625,25 @@ def test_engine_run_of_no_symbols_is_empty(kind):
         # zero counts and rates; the Wilson band of no bits is all of [0, 1]
         assert res == rxdsp.BerResult(0, 0, 0, 0, 0.0, 0.0, 0.5), with_bursts
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((math.nan, 1e-4, 10, 1), "ps_w"),
+        ((math.inf, 1e-4, 10, 1), "ps_w"),
+        ((-1e-2, 1e-4, 10, 1), "ps_w"),
+        ((1e-2, math.nan, 10, 1), "n0_w_per_hz"),
+        ((1e-2, -1e-4, 10, 1), "n0_w_per_hz"),
+        ((1e-2, 1e308, 10, 1), "n0_w_per_hz"),  # n0*fs overflows
+        ((1e-2, 1e-4, -5, 1), "n_symbols"),
+        ((1e-2, 1e-4, 10, -1), "seed"),
+    ],
+)
+def test_engine_run_refuses_bad_arguments_naming_them(args, name):
+    # a nan power used to return an SER from argmax over nan bins
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        harness.BerEngine(chirp.derive_params(5, 32768, fs_hz=32768), "complex").run(*args)
 
 
 def test_engine_runs_on_more_threads_than_cores_equal_the_serial_oracle(scored):

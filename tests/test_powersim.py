@@ -75,6 +75,15 @@ def test_harvester_scale_and_validation():
         powersim.HarvesterModel([(-5.0, 0.5), (0.0, 1.4)])  # out of [0, 1]
     with pytest.raises(ConfigurationError):
         powersim.HarvesterModel(((0.0, 0.0), (1.0, 0.0)))  # harvests nothing at any scale
+    ok = ((0.0, 0.1), (1.0, 0.2))
+    for pts, sensitivity in (
+        (((math.nan, 0.1), (1.0, 0.2)), -math.inf),
+        (((-math.inf, 0.1), (1.0, 0.2)), -math.inf),
+        (ok, math.nan),
+        (ok, math.inf),
+    ):
+        with pytest.raises(ConfigurationError, match="knots must be finite"):
+            powersim.HarvesterModel(pts, sensitivity)
 
 
 # -------------------------------------------------------------------- leakage
@@ -216,6 +225,36 @@ def test_fsm_rejects_an_infinite_duration_at_once():
     proc = subprocess.run([sys.executable, "-c", _INFINITE_FSM_RUN], capture_output=True,
                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout == "duration_s must be finite and >= 0, got inf\n", proc.stderr
+
+
+_NAN_POWER_RUNS = """
+import math
+from rfsn import powersim as ps
+from rfsn.errors import ConfigurationError
+c, h, leak = ps.Capacitor(1e-3), ps.HarvesterModel.default_active(), ps.LeakageCurve.default_with_startup()
+for run in (
+    lambda: ps.time_to_voltage(c, math.nan, h, leak),
+    lambda: ps.run_active_fsm(ps.ActiveNodeFSM(), c, math.nan, h, leak),
+    lambda: ps.passive_steady_state(*next(iter(ps.PASSIVE_OP_POWER_TABLE_W)), math.nan, h),
+):
+    try:
+        run()
+    except ConfigurationError as exc:
+        print(exc)
+"""
+
+
+def test_nan_incident_power_is_refused_at_once():
+    # in a subprocess: time_to_voltage at nan dBm used to step forever
+    src = str(Path(powersim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NAN_POWER_RUNS], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "incident power pr_dbm must be finite or -inf, got nan\n" * 3, proc.stderr
+    # -inf dBm is no incident power, which harvests nothing; +inf is refused
+    for h in (powersim.HarvesterModel.default_active(), powersim.HarvesterModel(((0.0, 0.1), (1.0, 0.2)))):
+        assert h.harvested_power_w(-math.inf) == 0.0
+        with pytest.raises(ConfigurationError, match="must be finite or -inf, got inf"):
+            h.harvested_power_w(math.inf)
 
 
 def test_fsm_trace_energy_ledger_closes():

@@ -106,6 +106,10 @@ def test_wilson_interval_invariants():
     lo2, hi2 = rxdsp.wilson_interval(300, 10000)
     assert hi2 - lo2 < hi - lo  # same rate, more trials -> tighter
     assert rxdsp.wilson_interval(0, 0) == (0.0, 1.0)
+    # more successes than trials, or fewer than none, used to raise a math domain error
+    for k, n in ((11, 10), (-1, 10), (1, 0)):
+        with pytest.raises(ConfigurationError, match="needs 0 <= k <= n"):
+            rxdsp.wilson_interval(k, n)
 
 
 def test_score_fields():
